@@ -10,8 +10,7 @@
 //!     [--markdown EXPERIMENTS.md] [--benchmarks lu,fft,...] [--mem-ops N]
 //! ```
 //!
-//! * `--params` — the experiment scale (default `paper64`; the original
-//!   `--scale quick|64|256` spelling is still accepted).
+//! * `--params` — the experiment scale (default `paper64`).
 //! * `--figures` — comma-separated figure list, `figNN` or bare numbers
 //!   (default: all of 6–19; 17 and 18 are the energy figures, 19 the
 //!   stall-heavy stress sweep).
@@ -104,13 +103,13 @@ fn parse_args() -> Options {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--params" | "--scale" => {
+            "--params" => {
                 let v = value(&arg, &mut it);
                 opts.scale = Scale::parse(&v)
                     .unwrap_or_else(|| bad(&format!("unknown params '{v}', expected quick|paper64|paper256")));
             }
             "--list-figures" => opts.list_figures = true,
-            "--figures" | "--fig" => {
+            "--figures" => {
                 let v = value(&arg, &mut it);
                 if v == "all" {
                     opts.figures = FIGURE_NUMBERS.collect();

@@ -6,7 +6,6 @@ use crate::address::LineAddr;
 
 /// Geometry of a cache array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -59,7 +58,6 @@ impl CacheGeometry {
 
 /// One resident cache line with caller-defined metadata `M`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Entry<M> {
     /// The line address stored in this way.
     pub addr: LineAddr,
@@ -84,7 +82,6 @@ pub enum Eviction<M> {
 /// from the address map of the organization in use) so the same array type
 /// serves private, shared and LOCO slices.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheArray<M> {
     geometry: CacheGeometry,
     sets: Vec<Vec<Entry<M>>>,

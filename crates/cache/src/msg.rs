@@ -12,7 +12,6 @@ use loco_noc::{NodeId, VirtualNetwork};
 
 /// The unit within a tile that a protocol message addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Unit {
     /// The per-core L1 controller.
     L1,
@@ -26,7 +25,6 @@ pub enum Unit {
 
 /// A protocol endpoint: a unit at a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Agent {
     /// Tile the unit lives on.
     pub node: NodeId,
@@ -65,7 +63,6 @@ impl Agent {
 /// data grant to the L1 so the simulator can attribute latency to the right
 /// histogram (L2-hit latency vs. on-chip search vs. off-chip access).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ResponseSource {
     /// The line was resident at the requester's home L2 (an "L2 hit").
     Home,
@@ -82,7 +79,6 @@ pub enum ResponseSource {
 /// level) protocol between home L2s, the global directory and memory; the
 /// last group implements inter-cluster victim replacement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MsgKind {
     // ---- L1 <-> home L2 (first-level protocol) ----
     /// L1 read miss.
@@ -226,7 +222,6 @@ impl MsgKind {
 
 /// A protocol message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolMsg {
     /// The cache line this message concerns.
     pub addr: LineAddr,

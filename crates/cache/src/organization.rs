@@ -8,7 +8,6 @@ use loco_noc::{Coord, Mesh, NodeId};
 /// Which cache organization the CMP uses (Section 4.2 of the paper
 /// evaluates all five).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OrganizationKind {
     /// Per-tile private L2; global coherence through a directory at the
     /// memory controllers.
@@ -40,7 +39,6 @@ impl OrganizationKind {
 /// Cluster geometry (width x height in tiles). The paper evaluates 4x4,
 /// 4x1 and 8x1 clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterShape {
     /// Cluster width in tiles.
     pub w: u16,
@@ -63,7 +61,6 @@ impl ClusterShape {
 
 /// A fully specified cache organization on a given mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Organization {
     kind: OrganizationKind,
     mesh: Mesh,
@@ -271,7 +268,6 @@ impl Organization {
 /// Placement of the memory controllers and the address interleaving across
 /// them (Table 1: four controllers, one on each edge of the chip).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryMap {
     controllers: Vec<NodeId>,
 }

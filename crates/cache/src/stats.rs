@@ -5,7 +5,6 @@
 /// Counters collected across the L1s, home L2s, directory and memory
 /// controllers of one simulation.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Instructions executed (filled in by the core models).
     pub instructions: u64,

@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 /// Scale parameters of an experiment campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentParams {
     /// Mesh width in tiles.
     pub mesh_width: u16,

@@ -5,7 +5,6 @@ use crate::topology::Mesh;
 
 /// Which router micro-architecture the network uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RouterKind {
     /// State-of-the-art conventional router: 1 cycle in the router plus
     /// 1 cycle on the link, i.e. 2 cycles per hop in the best case.
@@ -36,7 +35,6 @@ impl RouterKind {
 /// constructors) correspond to Table 1 of the paper: 5 virtual networks,
 /// 4 VCs per VN, 16-byte links, `HPCmax` = 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NocConfig {
     /// Mesh dimensions.
     pub mesh: Mesh,

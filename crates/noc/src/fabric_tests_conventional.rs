@@ -1,0 +1,182 @@
+//! Unit tests of [`crate::fabric::Fabric`] under the conventional router
+//! policy: one hop per move, 2 cycles per hop.
+
+mod tests {
+    use crate::config::NocConfig;
+    use crate::fabric::{test_flight as flight, Fabric};
+    use crate::router::Arrival;
+
+    fn run_until_arrival(fab: &mut Fabric, start: u64, limit: u64) -> Vec<Arrival> {
+        let mut arrivals = Vec::new();
+        let mut now = start;
+        while arrivals.is_empty() && now < start + limit {
+            fab.tick(now, &mut arrivals);
+            now += 1;
+        }
+        arrivals
+    }
+
+    #[test]
+    fn two_cycles_per_hop_best_case() {
+        let cfg = NocConfig::conventional_mesh(8, 8);
+        let mut fab = Fabric::new(cfg);
+        // 0 -> 7 is 7 hops along the bottom row.
+        fab.inject(flight(1, 0, 7, 1), 0);
+        let arr = run_until_arrival(&mut fab, 0, 100);
+        assert_eq!(arr.len(), 1);
+        // ~2 cycles per hop plus injection overhead.
+        let latency = arr[0].now - arr[0].flight.injected_at;
+        assert!(latency >= 14, "latency {latency} too small");
+        assert!(latency <= 17, "latency {latency} too large");
+    }
+
+    #[test]
+    fn corner_to_corner_is_about_28_cycles() {
+        // Section 2: 14 hops on a conventional NoC take 28 cycles best case.
+        let cfg = NocConfig::conventional_mesh(8, 8);
+        let mut fab = Fabric::new(cfg);
+        fab.inject(flight(1, 0, 63, 1), 0);
+        let arr = run_until_arrival(&mut fab, 0, 100);
+        let latency = arr[0].now - arr[0].flight.injected_at;
+        assert!((28..=31).contains(&latency), "latency {latency}");
+    }
+
+    #[test]
+    fn multi_flit_packets_add_serialization_delay() {
+        let cfg = NocConfig::conventional_mesh(4, 4);
+        let mut fab = Fabric::new(cfg);
+        fab.inject(flight(1, 0, 3, 3), 0);
+        let arr = run_until_arrival(&mut fab, 0, 100);
+        let lat3 = arr[0].now;
+
+        let mut fab1 = Fabric::new(cfg);
+        fab1.inject(flight(2, 0, 3, 1), 0);
+        let arr1 = run_until_arrival(&mut fab1, 0, 100);
+        let lat1 = arr1[0].now;
+        assert!(lat3 > lat1, "3-flit {lat3} should exceed 1-flit {lat1}");
+    }
+
+    #[test]
+    fn contention_serializes_packets_on_shared_link() {
+        let cfg = NocConfig::conventional_mesh(4, 1);
+        let mut fab = Fabric::new(cfg);
+        // Two packets from node 0 to node 3 compete for the same links.
+        fab.inject(flight(1, 0, 3, 4), 0);
+        fab.inject(flight(2, 0, 3, 4), 0);
+        let mut arrivals = Vec::new();
+        for now in 0..200 {
+            fab.tick(now, &mut arrivals);
+        }
+        assert_eq!(arrivals.len(), 2);
+        let mut times: Vec<u64> = arrivals.iter().map(|a| a.now).collect();
+        times.sort_unstable();
+        // Second packet must wait for the first to release each link.
+        assert!(times[1] >= times[0] + 4, "times {times:?}");
+    }
+
+    #[test]
+    fn next_event_bounds_every_state_change_from_below() {
+        let cfg = NocConfig::conventional_mesh(8, 8);
+        let mut fab = Fabric::new(cfg);
+        assert_eq!(fab.next_event(0), None, "empty fabric has no events");
+        fab.inject(flight(1, 0, 7, 1), 0);
+        // The injected head becomes switch-eligible at cycle 1.
+        assert_eq!(fab.next_event(0), Some(1));
+        // Walk to completion, asserting no tick before the probe's bound
+        // ever changes state and every tick at the bound is reached.
+        let mut arrivals = Vec::new();
+        let mut now = 0;
+        while fab.in_flight() > 0 {
+            let e = fab.next_event(now).expect("packets in flight");
+            assert!(e >= now, "bound must not regress");
+            // Ticking strictly before the bound must be a no-op; the fabric
+            // asserts internally (active set, counters) and the packet must
+            // not arrive early.
+            for t in now..e {
+                fab.tick(t, &mut arrivals);
+                assert!(arrivals.is_empty(), "state changed before the bound");
+            }
+            fab.tick(e, &mut arrivals);
+            now = e + 1;
+            assert!(now < 100, "packet never arrived");
+        }
+        assert_eq!(arrivals.len(), 1);
+        assert_eq!(fab.next_event(now), None, "drained fabric is quiescent");
+        // ~2 cycles per hop over 7 hops, same as the naive per-cycle walk.
+        let latency = arrivals[0].now - arrivals[0].flight.injected_at;
+        assert!((14..=17).contains(&latency), "latency {latency}");
+    }
+
+    #[test]
+    fn next_event_opens_a_skip_window_under_partial_occupancy() {
+        // Two 4-flit packets race for the same links: after the first wins
+        // switch allocation, the fabric still holds both packets yet the
+        // probe must name a *future* horizon (the loser waits for the link,
+        // the winner serializes), and every tick before it is a no-op. This
+        // is the property the system scheduler leans on since PR 5 — the old
+        // drain-only probe treated any occupancy as "step every cycle".
+        let cfg = NocConfig::conventional_mesh(4, 1);
+        let mut fab = Fabric::new(cfg);
+        fab.inject(flight(1, 0, 3, 4), 0);
+        fab.inject(flight(2, 0, 3, 4), 0);
+        let mut arrivals = Vec::new();
+        fab.tick(0, &mut arrivals);
+        fab.tick(1, &mut arrivals); // first packet wins SA, holds the link
+        assert!(arrivals.is_empty());
+        assert_eq!(fab.in_flight(), 2, "both packets still inside the fabric");
+        let e = fab.next_event(2).expect("packets in flight");
+        assert!(e > 2, "partial occupancy must yield a future horizon, got {e}");
+        let before = *fab.counters();
+        for t in 2..e {
+            fab.tick(t, &mut arrivals);
+            assert!(arrivals.is_empty(), "state changed before the bound");
+            assert_eq!(*fab.counters(), before, "counters moved in a dead cycle");
+        }
+        // Run to completion: both packets must still arrive.
+        let mut now = e;
+        while fab.in_flight() > 0 {
+            fab.tick(now, &mut arrivals);
+            now += 1;
+            assert!(now < 200, "packets never arrived");
+        }
+        assert_eq!(arrivals.len(), 2);
+    }
+
+    #[test]
+    fn event_counters_match_the_hop_count() {
+        let cfg = NocConfig::conventional_mesh(8, 8);
+        let mut fab = Fabric::new(cfg);
+        // 0 -> 7: 7 hops, single flit, no contention.
+        fab.inject(flight(1, 0, 7, 1), 0);
+        let mut arrivals = Vec::new();
+        for now in 0..100 {
+            fab.tick(now, &mut arrivals);
+        }
+        assert_eq!(arrivals.len(), 1);
+        let c = *fab.counters();
+        assert_eq!(c.buffer_reads, 7, "one read per hop");
+        assert_eq!(c.crossbar_traversals, 7);
+        assert_eq!(c.link_flit_hops, 7);
+        assert_eq!(c.stop_hops, 7);
+        // Injection plus 6 intermediate latchings (the destination ejects).
+        assert_eq!(c.buffer_writes, 7);
+        assert_eq!(fab.buffer_writes(), 7);
+        assert_eq!(c.ssr_broadcasts, 0, "no SSRs on a conventional fabric");
+        assert_eq!(c.pipeline_passes, 0);
+    }
+
+    #[test]
+    fn in_flight_count_tracks_packets() {
+        let cfg = NocConfig::conventional_mesh(4, 4);
+        let mut fab = Fabric::new(cfg);
+        assert_eq!(fab.in_flight(), 0);
+        fab.inject(flight(1, 0, 5, 1), 0);
+        assert_eq!(fab.in_flight(), 1);
+        let mut arrivals = Vec::new();
+        for now in 0..50 {
+            fab.tick(now, &mut arrivals);
+        }
+        assert_eq!(fab.in_flight(), 0);
+        assert_eq!(arrivals.len(), 1);
+    }
+}

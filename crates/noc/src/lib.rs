@@ -16,6 +16,13 @@
 //!   nodes (a *Virtual Mesh with SMART*), the mechanism LOCO uses for global
 //!   data search.
 //!
+//! The three routers share one engine, [`fabric::Fabric`]: the same
+//! switch-allocation pass runs every cycle, and a small per-kind policy,
+//! chosen by [`NocConfig::router`], sets the span of each move, the output
+//! link it uses, whether the landing router must have room, SMART's SSR
+//! truncation round and the arrival timing. [`Network`] sits on top and
+//! owns payloads, multicast expansion and ejection queues.
+//!
 //! The model is packet-granular: each [`NetMessage`] occupies an output link
 //! for `size_flits` cycles (serialization), and head-latency is modelled
 //! cycle by cycle through router buffers, switch allocation, SSR arbitration
@@ -51,17 +58,27 @@
 
 pub mod analytical;
 pub mod config;
-pub mod conventional;
+pub mod fabric;
 pub mod fx;
-pub mod highradix;
 pub mod message;
 pub mod network;
 pub mod rng;
 pub mod router;
-pub mod smart;
 pub mod stats;
 pub mod topology;
 pub mod vms;
+
+// Unit tests of the fabric under each router kind's policy, one module per
+// kind (`cargo test -p loco-noc smart::` runs SMART's).
+#[cfg(test)]
+#[path = "fabric_tests_conventional.rs"]
+mod conventional;
+#[cfg(test)]
+#[path = "fabric_tests_highradix.rs"]
+mod highradix;
+#[cfg(test)]
+#[path = "fabric_tests_smart.rs"]
+mod smart;
 
 pub use config::{NocConfig, RouterKind};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

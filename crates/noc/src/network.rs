@@ -1,14 +1,13 @@
 //! The network front-end: payload ownership, multicast expansion, ejection
-//! queues and statistics, on top of one of the three fabric engines.
+//! queues and statistics, on top of the [`Fabric`] that moves packets under
+//! the configured router kind's policy.
 
-use crate::config::{NocConfig, RouterKind};
-use crate::conventional::ConventionalFabric;
+use crate::config::NocConfig;
+use crate::fabric::Fabric;
 use crate::fx::FxHashMap;
-use crate::highradix::HighRadixFabric;
 use crate::message::{Delivered, Destination, MulticastGroupId, NetMessage, VirtualNetwork};
-use crate::router::{Arrival, FabricEngine, FlightInfo, PacketId};
-use crate::smart::SmartFabric;
-use crate::stats::NetworkStats;
+use crate::router::{Arrival, FlightInfo, PacketId};
+use crate::stats::{FabricCounters, NetworkStats};
 use crate::topology::{Direction, NodeId};
 use crate::vms::MulticastTree;
 use std::cmp::Reverse;
@@ -46,30 +45,6 @@ impl<P> fmt::Display for InjectError<P> {
 }
 
 impl<P> std::error::Error for InjectError<P> {}
-
-enum Fabric {
-    Conventional(ConventionalFabric),
-    Smart(SmartFabric),
-    HighRadix(HighRadixFabric),
-}
-
-impl Fabric {
-    fn as_engine(&mut self) -> &mut dyn FabricEngine {
-        match self {
-            Fabric::Conventional(f) => f,
-            Fabric::Smart(f) => f,
-            Fabric::HighRadix(f) => f,
-        }
-    }
-
-    fn as_engine_ref(&self) -> &dyn FabricEngine {
-        match self {
-            Fabric::Conventional(f) => f,
-            Fabric::Smart(f) => f,
-            Fabric::HighRadix(f) => f,
-        }
-    }
-}
 
 struct PacketRecord<P> {
     msg: NetMessage<P>,
@@ -138,14 +113,9 @@ impl<P: Clone> Network<P> {
     /// Panics if the configuration fails [`NocConfig::validate`].
     pub fn new(cfg: NocConfig) -> Self {
         cfg.validate().expect("invalid NoC configuration");
-        let fabric = match cfg.router {
-            RouterKind::Conventional => Fabric::Conventional(ConventionalFabric::new(cfg)),
-            RouterKind::Smart => Fabric::Smart(SmartFabric::new(cfg)),
-            RouterKind::HighRadix => Fabric::HighRadix(HighRadixFabric::new(cfg)),
-        };
         Network {
             cfg,
-            fabric,
+            fabric: Fabric::new(cfg),
             cycle: 0,
             groups: Vec::new(),
             packets: FxHashMap::default(),
@@ -194,7 +164,7 @@ impl<P: Clone> Network<P> {
     /// Whether the injection port at `node` can accept a message on `vn`
     /// this cycle.
     pub fn can_inject(&self, node: NodeId, vn: VirtualNetwork) -> bool {
-        self.fabric.as_engine_ref().can_accept(node, vn)
+        self.fabric.can_accept(node, vn)
     }
 
     /// Injects a message.
@@ -244,7 +214,7 @@ impl<P: Clone> Network<P> {
                         travelling: None,
                     },
                 );
-                self.fabric.as_engine().inject(flight, self.cycle);
+                self.fabric.inject(flight, self.cycle);
                 Ok(())
             }
             Destination::Multicast(group) => {
@@ -272,7 +242,7 @@ impl<P: Clone> Network<P> {
                         },
                     );
                     self.stats.multicast_forks += 1;
-                    self.fabric.as_engine().inject(flight, self.cycle);
+                    self.fabric.inject(flight, self.cycle);
                 }
                 Ok(())
             }
@@ -298,7 +268,7 @@ impl<P: Clone> Network<P> {
         let mut arrivals = std::mem::take(&mut self.arrivals_scratch);
         let mut due = std::mem::take(&mut self.due_scratch);
         debug_assert!(arrivals.is_empty() && due.is_empty());
-        self.fabric.as_engine().tick(self.cycle, &mut arrivals);
+        self.fabric.tick(self.cycle, &mut arrivals);
         // Fabric arrival times are always in the future (`> self.cycle`);
         // those due on the very next cycle — the common single-flit case —
         // bypass the heap. Heap entries released this tick are all timed at
@@ -342,7 +312,7 @@ impl<P: Clone> Network<P> {
     ///
     /// The bound holds under *partial occupancy*: the queued-arrival heap
     /// front (multi-flit releases, high-radix pipeline exits) is folded with
-    /// the fabric engine's per-head probe, so a network holding blocked or
+    /// the fabric's per-head probe, so a network holding blocked or
     /// serializing packets still reports a future horizon instead of
     /// degenerating to "busy". Already-delivered messages waiting in
     /// ejection queues are not events — ticking never changes them — so
@@ -356,7 +326,7 @@ impl<P: Clone> Network<P> {
             .pending
             .peek()
             .map(|Reverse(q)| q.arrival.now.saturating_sub(1).max(self.cycle));
-        let fabric = self.fabric.as_engine_ref().next_event(self.cycle);
+        let fabric = self.fabric.next_event(self.cycle);
         match (pending, fabric) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -410,7 +380,7 @@ impl<P: Clone> Network<P> {
                     },
                 );
                 self.stats.multicast_forks += 1;
-                self.fabric.as_engine().inject(flight, self.cycle);
+                self.fabric.inject(flight, self.cycle);
             }
         }
         let delivered = Delivered {
@@ -464,7 +434,7 @@ impl<P: Clone> Network<P> {
     /// arrivals not yet released to an ejection queue), excluding already
     /// delivered messages waiting to be ejected.
     pub fn in_flight(&self) -> usize {
-        self.fabric.as_engine_ref().in_flight() + self.pending.len()
+        self.fabric.in_flight() + self.pending.len()
     }
 
     /// Aggregate statistics: a snapshot of the front-end delivery stats with
@@ -472,20 +442,20 @@ impl<P: Clone> Network<P> {
     /// [`NetworkStats::fabric`].
     pub fn stats(&self) -> NetworkStats {
         let mut stats = self.stats.clone();
-        stats.fabric = *self.fabric.as_engine_ref().counters();
+        stats.fabric = *self.fabric.counters();
         stats
     }
 
     /// The fabric's micro-architectural event counters (the raw inputs of
     /// the event-energy model).
-    pub fn fabric_counters(&self) -> &crate::stats::FabricCounters {
-        self.fabric.as_engine_ref().counters()
+    pub fn fabric_counters(&self) -> &FabricCounters {
+        self.fabric.counters()
     }
 
     /// Total router-buffer writes performed by the fabric (a proxy for
     /// buffer energy; SMART's raison d'être is keeping this low).
     pub fn buffer_writes(&self) -> u64 {
-        self.fabric.as_engine_ref().buffer_writes()
+        self.fabric.buffer_writes()
     }
 }
 

@@ -1,10 +1,9 @@
-//! Shared router infrastructure used by all three fabric engines
-//! (conventional, SMART, high-radix): input-port buffers, in-flight packet
-//! descriptors, round-robin arbitration state and link-occupancy tracking.
+//! Router building blocks of the [`crate::fabric::Fabric`]: input-port
+//! buffers, in-flight packet descriptors, round-robin arbitration state and
+//! link-occupancy tracking.
 
 use crate::message::VirtualNetwork;
-use crate::stats::FabricCounters;
-use crate::topology::{Direction, NodeId};
+use crate::topology::NodeId;
 use std::collections::VecDeque;
 
 /// Unique identifier of a packet (or of one multicast child copy) while it is
@@ -13,7 +12,7 @@ use std::collections::VecDeque;
 pub struct PacketId(pub u64);
 
 /// Routing/timing descriptor of a packet in flight. The payload itself stays
-/// in the [`crate::Network`]'s packet table; engines only move these
+/// in the [`crate::Network`]'s packet table; the fabric only moves these
 /// light-weight descriptors through router buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightInfo {
@@ -64,7 +63,7 @@ pub struct InputBuffers {
     capacity: usize,
     total: usize,
     /// Bit `i` set iff lane `i` (see [`InputBuffers::lanes`] for the
-    /// numbering) holds at least one packet. The per-cycle engine loops walk
+    /// numbering) holds at least one packet. The per-cycle fabric loops walk
     /// set bits instead of probing every lane.
     occupied: u32,
 }
@@ -102,7 +101,7 @@ impl InputBuffers {
     }
 
     /// Pushes a packet, regardless of capacity (capacity is enforced by the
-    /// engines at allocation time; premature SMART stops are allowed to
+    /// fabric at allocation time; premature SMART stops are allowed to
     /// overflow and are tracked in the statistics).
     pub fn push(&mut self, port: usize, vn: VirtualNetwork, b: Buffered) {
         let idx = self.idx(port, vn);
@@ -135,7 +134,7 @@ impl InputBuffers {
     }
 
     /// Whether the router holds no packets at all (cheap early-out for the
-    /// per-cycle engine loops).
+    /// per-cycle fabric loops).
     pub fn is_empty(&self) -> bool {
         self.total == 0
     }
@@ -169,7 +168,7 @@ impl InputBuffers {
 }
 
 /// A dense bitset over router indices tracking which routers currently hold
-/// at least one buffered packet. The per-cycle engine loops walk set bits
+/// at least one buffered packet. The per-cycle fabric loops walk set bits
 /// instead of touching every router's (cache-cold) buffer struct; with a
 /// handful of packets in flight on a 64–256 node mesh this is the difference
 /// between O(active) and O(nodes) per cycle.
@@ -280,67 +279,6 @@ impl LinkOccupancy {
     pub fn occupy(&mut self, node: NodeId, link: usize, until: u64) {
         let idx = self.idx(node, link);
         self.busy_until[idx] = self.busy_until[idx].max(until);
-    }
-}
-
-/// Helper mapping a cardinal direction to a link slot index (0..4).
-pub fn dir_link(dir: Direction) -> usize {
-    dir.index()
-}
-
-/// Common interface of the three fabric engines (conventional, SMART,
-/// high-radix). The [`crate::Network`] front-end owns payloads and multicast
-/// expansion; engines only move [`FlightInfo`] descriptors.
-pub trait FabricEngine {
-    /// Whether the injection queue at `node` for `vn` can accept a packet.
-    fn can_accept(&self, node: NodeId, vn: VirtualNetwork) -> bool;
-
-    /// Places a packet into the source router's local input port. The caller
-    /// must have checked [`FabricEngine::can_accept`].
-    fn inject(&mut self, flight: FlightInfo, now: u64);
-
-    /// Advances the fabric by one cycle, appending packets that reached their
-    /// segment destination to `arrivals`.
-    fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>);
-
-    /// Event-horizon probe for event-driven simulation: the earliest cycle
-    /// `>= now` at which [`FabricEngine::tick`] *might* change fabric state,
-    /// or `None` when the fabric is empty and can never act again on its
-    /// own. Engines compute it per occupied (router, lane) head — the first
-    /// cycle the head is switch-eligible *and* its requested output link is
-    /// free — so the bound is meaningful under partial occupancy, not only
-    /// at full drain.
-    ///
-    /// The bound must be conservative from below — it may name a cycle at
-    /// which nothing ends up moving (e.g. a head packet that will lose
-    /// arbitration or find a downstream buffer full), but it must never skip
-    /// past a cycle at which a move, an arbiter update, a counter increment
-    /// or any other state change would have occurred. Ticking at a cycle
-    /// where no candidate exists is a no-op by construction (arbiter
-    /// pointers and event counters only advance when a candidate wins),
-    /// which is what makes cycle skipping exact. This probe is
-    /// **load-bearing** for `CmpSystem`'s scheduler (via
-    /// `Network::next_event`): the root `tests/equivalence.rs` randomized
-    /// stress suite cross-checks it against naive per-cycle stepping, and
-    /// it must never mutate state (the event-energy counters inherit the
-    /// run/run_naive bit-identity from that rule).
-    fn next_event(&self, now: u64) -> Option<u64>;
-
-    /// Number of packets currently inside the fabric.
-    fn in_flight(&self) -> usize;
-
-    /// The micro-architectural event counters accumulated so far (buffer
-    /// reads/writes, crossbar traversals, link hops, SSR events). These are
-    /// the raw inputs of the event-energy model; engines must only update
-    /// them from `inject`/`tick` (never from `next_event` or other read-only
-    /// probes), which is what keeps them bit-identical between event-driven
-    /// and naive execution.
-    fn counters(&self) -> &FabricCounters;
-
-    /// Total number of router-buffer writes so far (a proxy for buffer
-    /// energy and for SMART premature stops).
-    fn buffer_writes(&self) -> u64 {
-        self.counters().buffer_writes
     }
 }
 

@@ -6,7 +6,7 @@
 //!   [`crate::Network`] front-end (latencies, per-VN counts, multicast
 //!   forks).
 //! * [`FabricCounters`] — micro-architectural *event* counters accumulated
-//!   inside the fabric engines (buffer reads/writes, crossbar traversals,
+//!   inside the fabric (buffer reads/writes, crossbar traversals,
 //!   link hops, SMART SSR broadcasts and premature stops, high-radix
 //!   pipeline passes). These are the per-event quantities the `loco-energy`
 //!   crate multiplies by per-event costs; they are integers only and
@@ -16,11 +16,10 @@
 use crate::message::VirtualNetwork;
 
 /// Micro-architectural event counters of one NoC fabric. Every field is a
-/// monotonic event count; each engine increments the classes it implements
+/// monotonic event count; each router kind increments the classes it has
 /// (e.g. only SMART produces SSR events, only high-radix produces pipeline
 /// passes), so a zero simply means "this fabric has no such event".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FabricCounters {
     /// Packets latched into a router input buffer (injections plus every
     /// intermediate stop). SMART's raison d'être is keeping this low.
@@ -74,7 +73,6 @@ impl FabricCounters {
 
 /// Counters accumulated by a [`crate::Network`] over a simulation.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkStats {
     /// Messages handed to `inject` (multicasts count once).
     pub injected_messages: u64,
@@ -94,7 +92,7 @@ pub struct NetworkStats {
     /// Multicast child copies spawned at fork points.
     pub multicast_forks: u64,
     /// Fabric-level event counters (buffer/crossbar/link/SSR events). Live
-    /// counts are kept inside the fabric engine; [`crate::Network::stats`]
+    /// counts are kept inside the fabric; [`crate::Network::stats`]
     /// snapshots them into this field.
     pub fabric: FabricCounters,
 }

@@ -18,7 +18,6 @@ use std::fmt;
 /// assert_eq!(mesh.coord(n).y, 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -50,7 +49,6 @@ impl fmt::Display for NodeId {
 /// northwards, matching the figures in the paper (router `30` is the
 /// north-west corner of a 4x4 mesh).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Coord {
     /// Column (0 = west edge).
     pub x: u16,
@@ -81,7 +79,6 @@ impl fmt::Display for Coord {
 /// `Local` is the ejection/injection port connecting the router to the tile's
 /// network interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Direction {
     /// Towards larger `x`.
     East,
@@ -156,7 +153,6 @@ impl fmt::Display for Direction {
 
 /// A rectangular mesh of `width x height` tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mesh {
     width: u16,
     height: u16,
@@ -271,16 +267,23 @@ impl Mesh {
     /// The next direction on the XY route from `from` towards `to`
     /// (X first, then Y), or `None` if already there.
     pub fn xy_next_dir(self, from: NodeId, to: NodeId) -> Option<Direction> {
+        self.xy_leg(from, to).map(|(dir, _)| dir)
+    }
+
+    /// The next direction on the XY route from `from` towards `to`, with
+    /// the hops left in that dimension (at least 1), or `None` if already
+    /// there.
+    pub fn xy_leg(self, from: NodeId, to: NodeId) -> Option<(Direction, u16)> {
         let f = self.coord(from);
         let t = self.coord(to);
         if t.x > f.x {
-            Some(Direction::East)
+            Some((Direction::East, t.x - f.x))
         } else if t.x < f.x {
-            Some(Direction::West)
+            Some((Direction::West, f.x - t.x))
         } else if t.y > f.y {
-            Some(Direction::North)
+            Some((Direction::North, t.y - f.y))
         } else if t.y < f.y {
-            Some(Direction::South)
+            Some((Direction::South, f.y - t.y))
         } else {
             None
         }

@@ -18,7 +18,6 @@ use crate::fx::FxHashMap;
 /// The set of home nodes (one per cluster) that share a given home-node
 /// offset, i.e. one virtual mesh of the LOCO design.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VirtualMesh {
     mesh: Mesh,
     cluster_w: u16,

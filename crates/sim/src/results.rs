@@ -5,7 +5,6 @@ use loco_noc::NetworkStats;
 
 /// Everything a figure of the paper needs from one run.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimResults {
     /// Total run time in cycles (until every core finished its trace).
     pub runtime_cycles: u64,

@@ -32,8 +32,8 @@
 //! * **Network** — `Network::next_event` names the earliest cycle at which
 //!   a network tick can change state *even under partial occupancy*: it
 //!   folds the front of the queued-arrival heap (multi-flit releases,
-//!   high-radix pipeline exits) with the fabric engine's per-head probe
-//!   (`FabricEngine::next_event`), which scans every occupied (router,
+//!   high-radix pipeline exits) with the fabric's per-head probe
+//!   (`Fabric::next_event`), which scans every occupied (router,
 //!   lane) head for the first cycle it is both switch-eligible
 //!   (`ready_at`) and sees its requested output link free. The probes are
 //!   conservative from below: they may name a cycle at which arbitration
