@@ -1,17 +1,21 @@
 //! # loco-bench — benchmark harness for the LOCO reproduction
 //!
-//! Two entry points:
+//! Three entry points:
 //!
 //! * the `reproduce` binary plans, executes (in parallel, via
 //!   `loco::campaign::Executor`) and assembles every table and figure of
 //!   the paper's evaluation (`cargo run --release -p loco-bench --bin
 //!   reproduce -- --help`),
-//! * the benches under `benches/` (built on the in-tree [`timing`] harness)
-//!   time a reduced version of each figure's simulation campaign so that
-//!   `cargo bench` exercises every experiment end to end.
+//! * the `bench_campaign` binary (`scripts/bench.sh`) times the quickstart
+//!   and the figure campaign at several worker counts and records them in
+//!   `BENCH_results.json`,
+//! * the benches under `benches/` (built on the in-tree [`timing`] harness):
+//!   `noc_microbench` times the router micro-architectures alone, and
+//!   `ablations` sweeps LOCO's design parameters beyond the paper's
+//!   figures.
 //!
-//! The library part hosts the shared campaign-composition helpers for those
-//! front-ends: which benchmarks, cluster shapes and Table-2 workloads each
+//! The library part hosts the shared campaign-composition helpers for the
+//! binaries: which benchmarks, cluster shapes and Table-2 workloads each
 //! scale sweeps, and the [`figure_specs`] builder that turns figure numbers
 //! into `loco::campaign::FigureSpec`s.
 

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation is one large sweep of independent simulations
 //! (5 cache organizations × 3 NoCs × benchmarks × cluster shapes across
-//! Figures 6–16). This module decouples the three phases that the old
-//! monolithic `Runner` fused together:
+//! Figures 6–16, plus the energy and stress Figures 17–19). This module
+//! runs it in three phases, at the scale set by [`ExperimentParams`]:
 //!
 //! 1. **Plan** — every figure is described by a [`FigureSpec`] whose
 //!    [`FigureSpec::enumerate`] pass is *pure*: it returns the [`Scenario`]s
@@ -22,10 +22,6 @@
 //!    from an 8-thread execution are byte-identical to a 1-thread one
 //!    (locked in by `tests/campaign.rs` and the `scripts/verify.sh` smoke).
 //!
-//! The legacy [`crate::Runner`] survives as a thin shim over these layers:
-//! its memoization cache *is* a [`ResultSet`], and its `figNN_*` methods are
-//! `enumerate → run-missing → assemble`.
-//!
 //! # `Send` invariant
 //!
 //! The executor relies on [`CmpSystem`], `TraceGenerator` and
@@ -36,7 +32,6 @@
 //! simulator must keep these types `Send` (or consciously remove the
 //! parallel executor).
 
-use crate::experiments::ExperimentParams;
 use crate::report::{Figure, Series};
 use loco_cache::{ClusterShape, OrganizationKind};
 use loco_energy::{EnergyBreakdown, EnergyParams};
@@ -59,11 +54,112 @@ fn send_invariants() {
     assert_send::<ResultSet>();
 }
 
+/// Scale parameters of an experiment campaign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExperimentParams {
+    /// Mesh width in tiles.
+    pub mesh_width: u16,
+    /// Mesh height in tiles.
+    pub mesh_height: u16,
+    /// Default LOCO cluster shape.
+    pub cluster: ClusterShape,
+    /// Memory operations generated per core.
+    pub mem_ops_per_core: u64,
+    /// Trace-generation seed.
+    pub seed: u64,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+    /// Divisor applied to both the cache capacities (L1 / L2 slice) and the
+    /// benchmarks' working sets. The paper runs billions of instructions
+    /// against the Table-1 caches; our traces are orders of magnitude
+    /// shorter, so scaling caches and working sets together keeps the
+    /// capacity-pressure *regime* identical while runs stay tractable
+    /// (see DESIGN.md §3). Set to 1 for unscaled Table-1 capacities.
+    pub working_set_scale: u64,
+}
+
+impl ExperimentParams {
+    /// The paper's 64-core CMP (8x8 mesh, 4x4 clusters).
+    pub fn paper_64() -> Self {
+        ExperimentParams {
+            mesh_width: 8,
+            mesh_height: 8,
+            cluster: ClusterShape::new(4, 4),
+            mem_ops_per_core: 2_000,
+            seed: 42,
+            max_cycles: 50_000_000,
+            working_set_scale: 8,
+        }
+    }
+
+    /// The paper's 256-core CMP (16x16 mesh, 4x4 clusters). The per-core
+    /// trace is shorter, mirroring the paper's own 2-billion-instruction cap
+    /// on trace-driven runs.
+    pub fn paper_256() -> Self {
+        ExperimentParams {
+            mesh_width: 16,
+            mesh_height: 16,
+            mem_ops_per_core: 700,
+            ..Self::paper_64()
+        }
+    }
+
+    /// A reduced 16-core configuration for unit tests and smoke runs.
+    pub fn quick() -> Self {
+        ExperimentParams {
+            mesh_width: 4,
+            mesh_height: 4,
+            cluster: ClusterShape::new(2, 2),
+            mem_ops_per_core: 200,
+            seed: 42,
+            max_cycles: 5_000_000,
+            working_set_scale: 8,
+        }
+    }
+
+    /// Scales the trace length (e.g. `with_mem_ops(500)` for faster runs).
+    pub fn with_mem_ops(mut self, mem_ops: u64) -> Self {
+        self.mem_ops_per_core = mem_ops;
+        self
+    }
+
+    /// Number of cores.
+    pub fn num_cores(&self) -> usize {
+        self.mesh_width as usize * self.mesh_height as usize
+    }
+
+    /// A short label ("64-core", "256-core", ...).
+    pub fn label(&self) -> String {
+        format!("{}-core", self.num_cores())
+    }
+
+    pub(crate) fn system(
+        &self,
+        org: OrganizationKind,
+        router: RouterKind,
+        cluster: ClusterShape,
+        fs: bool,
+    ) -> SystemConfig {
+        let mut cfg = SystemConfig::asplos_64(org)
+            .with_router(router)
+            .with_cluster(cluster)
+            .with_full_system(fs);
+        cfg.mesh_width = self.mesh_width;
+        cfg.mesh_height = self.mesh_height;
+        let scale = self.working_set_scale.max(1);
+        cfg.l1.size_bytes = (cfg.l1.size_bytes / scale).max(1024);
+        cfg.l2.geometry.size_bytes = (cfg.l2.geometry.size_bytes / scale).max(2048);
+        cfg
+    }
+
+    pub(crate) fn scaled_spec(&self, benchmark: Benchmark) -> loco_workloads::BenchmarkSpec {
+        benchmark.spec().scaled_down(self.working_set_scale.max(1))
+    }
+}
+
 /// One fully-specified simulation configuration — the unit of work of a
-/// campaign and the key of a [`ResultSet`].
-///
-/// This is the public promotion of the old private `RunKey`: everything that
-/// distinguishes one run from another at fixed [`ExperimentParams`].
+/// campaign and the key of a [`ResultSet`]: everything that distinguishes
+/// one run from another at fixed [`ExperimentParams`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// A single-benchmark trace-driven (or full-system) run.
@@ -214,7 +310,7 @@ pub fn stall_stress_system(
 }
 
 /// Runs one stall-heavy stress scenario (see [`stall_stress_system`]).
-pub fn run_stall_stress(params: &ExperimentParams, kind: StressKind, router: RouterKind) -> SimResults {
+fn run_stall_stress(params: &ExperimentParams, kind: StressKind, router: RouterKind) -> SimResults {
     stall_stress_system(params, kind, router).run(params.max_cycles)
 }
 
@@ -222,7 +318,7 @@ pub fn run_stall_stress(params: &ExperimentParams, kind: StressKind, router: Rou
 /// follows the paper: it matches the per-task thread count (4x1, 8x1 or
 /// 4x4); below 64 cores (the `quick()` mesh) the campaign's default cluster
 /// is used and the workload is truncated to fit.
-pub fn run_multiprogram_workload(
+fn run_multiprogram_workload(
     params: &ExperimentParams,
     workload: &MultiProgramWorkload,
     org: OrganizationKind,
@@ -317,9 +413,8 @@ impl CampaignPlan {
 
 /// Completed simulation results, keyed by [`Scenario`].
 ///
-/// Results are shared via [`Arc`], so memoized reuse (the `Runner` shim, a
-/// figure reading the same baseline run eight times) never deep-clones a
-/// `SimResults` again.
+/// Results are shared via [`Arc`], so a figure reading the same baseline
+/// run eight times never deep-clones a `SimResults`.
 #[derive(Debug, Default, Clone)]
 pub struct ResultSet {
     map: FxHashMap<Scenario, Arc<SimResults>>,
@@ -346,16 +441,29 @@ impl ResultSet {
         self.map.get(scenario)
     }
 
-    /// The result of one scenario.
+    /// The result of one completed scenario.
     ///
     /// # Panics
     ///
     /// Panics (with the scenario's label) if the scenario was never
     /// executed — i.e. the plan the caller executed did not cover the
-    /// figure being assembled.
+    /// figure being assembled — or if its run exhausted the cycle budget
+    /// (`ExperimentParams::max_cycles`) before every core finished, so a
+    /// truncated run never becomes a figure value.
     pub fn expect(&self, scenario: &Scenario) -> &SimResults {
-        self.get(scenario)
-            .unwrap_or_else(|| panic!("no result for scenario {} — was it planned?", scenario.label()))
+        let r = self.get(scenario).unwrap_or_else(|| {
+            panic!(
+                "no result for scenario {} — was it planned?",
+                scenario.label()
+            )
+        });
+        assert!(
+            r.completed,
+            "scenario {} is incomplete: the run exhausted its cycle budget at cycle {}",
+            scenario.label(),
+            r.runtime_cycles
+        );
+        r
     }
 
     /// Number of completed scenarios.
@@ -441,7 +549,7 @@ impl Executor {
         let mut slots: Vec<Option<Arc<SimResults>>> = Vec::with_capacity(n);
         if workers <= 1 {
             // Inline fast path: no thread or lock overhead for sequential
-            // execution (also what the Runner shim uses implicitly).
+            // execution.
             slots.extend(
                 scenarios
                     .iter()

@@ -14,12 +14,11 @@
 //! This crate is the front door of the workspace:
 //!
 //! * [`SimulationBuilder`] — run one workload on one configuration,
-//! * [`campaign`] — the plan/execute/assemble campaign engine: enumerate
-//!   the [`campaign::Scenario`]s a set of figures needs, execute them on
-//!   all cores with [`campaign::Executor`], and assemble the figures from
-//!   the [`campaign::ResultSet`],
-//! * [`experiments::Runner`] — the sequential memoizing shim over the
-//!   campaign engine (reproduce individual figures in-process),
+//! * [`campaign`] — the plan/execute/assemble campaign engine that
+//!   reproduces the paper's figures: enumerate the [`campaign::Scenario`]s
+//!   a set of figures needs at the scale of an [`ExperimentParams`],
+//!   execute them on all cores with [`campaign::Executor`], and assemble
+//!   the figures from the [`campaign::ResultSet`],
 //! * re-exports of the substrate crates (`loco-noc`, `loco-cache`,
 //!   `loco-sim`, `loco-energy`, `loco-workloads`) — including
 //!   [`EnergyParams`] / [`EnergyBreakdown`], the event-level energy model
@@ -46,12 +45,16 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod experiments;
 pub mod json;
 pub mod report;
 
-pub use campaign::{CampaignPlan, Executor, FigureSpec, ResultSet, Scenario};
-pub use experiments::{ExperimentParams, Runner};
+// Unit tests of the figures' shape and normalisation, run through the
+// campaign engine; the module is named `experiments` to keep the tests' ids.
+#[cfg(test)]
+#[path = "figure_tests.rs"]
+mod experiments;
+
+pub use campaign::{CampaignPlan, Executor, ExperimentParams, FigureSpec, ResultSet, Scenario};
 pub use report::{Figure, Series};
 
 pub use loco_cache::{

@@ -1,10 +1,10 @@
 //! Figure / table data structures and text rendering.
 //!
-//! Every experiment in [`crate::experiments`] returns a [`Figure`]: a set of
-//! labelled series over a common x-axis (usually the benchmarks, plus an
-//! `AVG` column), mirroring the bar charts of the paper. Figures render to
-//! aligned text tables (for the `reproduce` binary and EXPERIMENTS.md) and
-//! serialize to JSON.
+//! Every figure the campaign engine ([`crate::campaign`]) assembles is a
+//! [`Figure`]: a set of labelled series over a common x-axis (usually the
+//! benchmarks, plus an `AVG` column), mirroring the bar charts of the paper.
+//! Figures render to aligned text tables (for the `reproduce` binary and
+//! EXPERIMENTS.md) and serialize to JSON.
 
 use crate::json::{self, ParseError, Value};
 use std::fmt;

@@ -115,6 +115,14 @@ impl BarrierTracker {
     }
 }
 
+/// The home controllers of one memory-controller node: its directory and
+/// its DRAM controller.
+struct HomeNode {
+    node: NodeId,
+    dir: DirectoryController,
+    mem: MemoryController,
+}
+
 /// A full simulated chip multiprocessor.
 pub struct CmpSystem {
     cfg: SystemConfig,
@@ -124,12 +132,12 @@ pub struct CmpSystem {
     cores: Vec<CoreModel>,
     l1s: Vec<L1Controller>,
     l2s: Vec<L2Controller>,
-    dirs: FxHashMap<NodeId, DirectoryController>,
-    mems: FxHashMap<NodeId, MemoryController>,
-    /// Memory-controller nodes in ascending order: the per-cycle DRAM tick
-    /// iterates this instead of re-collecting (and re-ordering) map keys.
-    mem_nodes: Vec<NodeId>,
-    vms_groups: FxHashMap<u64, MulticastGroupId>,
+    /// One entry per distinct memory-controller node, ascending by node:
+    /// the DRAM tick walks it in this order, which fixes the order its
+    /// responses are scheduled (and so injected).
+    homes: Vec<HomeNode>,
+    /// The multicast group of each virtual mesh, indexed by HNid.
+    vms_groups: Vec<MulticastGroupId>,
     pending: BinaryHeap<Reverse<Pending>>,
     retry: VecDeque<NetMessage<ProtocolMsg>>,
     barriers: BarrierTracker,
@@ -199,12 +207,11 @@ impl CmpSystem {
         let mut network = Network::new(cfg.noc_config());
 
         // Pre-register one multicast group per virtual mesh (one per HNid).
-        let mut vms_groups = FxHashMap::default();
+        let mut vms_groups = Vec::new();
         if org.uses_vms() {
             for hnid in 0..org.num_vms() as u64 {
                 let members = org.vms_members(loco_cache::LineAddr(hnid));
-                let id = network.register_multicast_group(members);
-                vms_groups.insert(hnid, id);
+                vms_groups.push(network.register_multicast_group(members));
             }
         }
 
@@ -226,18 +233,19 @@ impl CmpSystem {
         let l2s: Vec<L2Controller> = (0..cores_n)
             .map(|i| L2Controller::new(NodeId(i as u16), cfg.l2, org, memmap.clone()))
             .collect();
-        let dirs: FxHashMap<NodeId, DirectoryController> = memmap
-            .controllers()
-            .iter()
-            .map(|&n| (n, DirectoryController::new(n, cfg.dir, org)))
+        // A placement may list a node twice (`MemoryMap::asplos` on a 2x2
+        // mesh); that node still hosts one directory and one controller.
+        let mut home_nodes: Vec<NodeId> = memmap.controllers().to_vec();
+        home_nodes.sort_unstable();
+        home_nodes.dedup();
+        let homes: Vec<HomeNode> = home_nodes
+            .into_iter()
+            .map(|node| HomeNode {
+                node,
+                dir: DirectoryController::new(node, cfg.dir, org),
+                mem: MemoryController::new(node, cfg.mem),
+            })
             .collect();
-        let mems: FxHashMap<NodeId, MemoryController> = memmap
-            .controllers()
-            .iter()
-            .map(|&n| (n, MemoryController::new(n, cfg.mem)))
-            .collect();
-        let mut mem_nodes: Vec<NodeId> = memmap.controllers().to_vec();
-        mem_nodes.sort_unstable();
 
         CmpSystem {
             cfg,
@@ -247,9 +255,7 @@ impl CmpSystem {
             cores,
             l1s,
             l2s,
-            dirs,
-            mems,
-            mem_nodes,
+            homes,
             vms_groups,
             pending: BinaryHeap::new(),
             retry: VecDeque::new(),
@@ -330,9 +336,7 @@ impl CmpSystem {
     fn to_net(&self, node: NodeId, msg: ProtocolMsg) -> NetMessage<ProtocolMsg> {
         let dest = match msg.kind {
             MsgKind::BcastGetS | MsgKind::BcastGetM => {
-                let hnid = self.org.vms_id(msg.addr);
-                let group = self.vms_groups[&hnid];
-                Destination::Multicast(group)
+                Destination::Multicast(self.vms_groups[self.org.vms_id(msg.addr) as usize])
             }
             _ => Destination::Unicast(msg.dst.node),
         };
@@ -345,14 +349,24 @@ impl CmpSystem {
         }
     }
 
+    /// The home controllers at `node` (a linear scan: there are at most
+    /// four memory-controller nodes).
+    fn home_mut(&mut self, node: NodeId) -> &mut HomeNode {
+        self.homes
+            .iter_mut()
+            .find(|h| h.node == node)
+            .expect("home controllers at a memory-controller node")
+    }
+
     fn dispatch(&mut self, delivered: Delivered<ProtocolMsg>, out: &mut Vec<Outgoing>) {
         let node = delivered.receiver;
         let msg = delivered.msg.payload;
         let idx = node.index();
+        let now = self.now;
         debug_assert!(out.is_empty());
         match msg.dst.unit {
             Unit::L1 => {
-                if let Some(fill) = self.l1s[idx].handle(msg, self.now, out) {
+                if let Some(fill) = self.l1s[idx].handle(msg, now, out) {
                     let latency = fill.completed_at.saturating_sub(fill.issued_at);
                     self.miss_latency_sum += latency;
                     self.miss_latency_count += 1;
@@ -364,19 +378,9 @@ impl CmpSystem {
                     self.runnable[idx / 64] |= 1 << (idx % 64);
                 }
             }
-            Unit::L2 => self.l2s[idx].handle(msg, self.now, out),
-            Unit::Dir => {
-                self.dirs
-                    .get_mut(&node)
-                    .expect("directory at memory-controller node")
-                    .handle(msg, self.now, out);
-            }
-            Unit::Mem => {
-                self.mems
-                    .get_mut(&node)
-                    .expect("memory controller node")
-                    .handle(msg, self.now, out);
-            }
+            Unit::L2 => self.l2s[idx].handle(msg, now, out),
+            Unit::Dir => self.home_mut(node).dir.handle(msg, now, out),
+            Unit::Mem => self.home_mut(node).mem.handle(msg, now, out),
         }
         self.schedule(node, out);
     }
@@ -459,14 +463,10 @@ impl CmpSystem {
         self.retry = still_waiting;
 
         // 3. Memory controllers release DRAM responses whose latency elapsed.
-        for i in 0..self.mem_nodes.len() {
-            let node = self.mem_nodes[i];
-            self.mems
-                .get_mut(&node)
-                .expect("memory controller")
-                .tick(now, &mut out);
+        for i in 0..self.homes.len() {
+            self.homes[i].mem.tick(now, &mut out);
             if !out.is_empty() {
-                self.schedule(node, &mut out);
+                self.schedule(self.homes[i].node, &mut out);
             }
         }
 
@@ -529,9 +529,8 @@ impl CmpSystem {
             }
             next = next.min(p.ready);
         }
-        // Map iteration order is irrelevant here: the fold is a pure min.
-        for mem in self.mems.values() {
-            if let Some(t) = mem.next_event() {
+        for home in &self.homes {
+            if let Some(t) = home.mem.next_event() {
                 if t <= now {
                     return Some(now);
                 }
@@ -614,11 +613,9 @@ impl CmpSystem {
         for l2 in &self.l2s {
             cache.merge(l2.stats());
         }
-        for dir in self.dirs.values() {
-            cache.merge(dir.stats());
-        }
-        for mem in self.mems.values() {
-            cache.merge(mem.stats());
+        for home in &self.homes {
+            cache.merge(home.dir.stats());
+            cache.merge(home.mem.stats());
         }
         cache.instructions = self.cores.iter().map(CoreModel::instructions).sum();
         cache.l2_hit_latency_sum = self.l2_hit_latency_sum;
@@ -796,6 +793,35 @@ mod tests {
         let naive = CmpSystem::new(cfg, traces).run_naive(700);
         assert!(!event.completed, "budget chosen to interrupt the run");
         assert_eq!(event.runtime_cycles, 700);
+        assert_eq!(format!("{event:?}"), format!("{naive:?}"));
+    }
+
+    #[test]
+    fn a_repeated_controller_node_hosts_one_set_of_home_controllers() {
+        // On a 2x2 mesh the paper's edge-midpoint placement puts two of the
+        // four memory controllers on node 3.
+        let mut cfg = SystemConfig::asplos_64(OrganizationKind::Shared);
+        cfg.mesh_width = 2;
+        cfg.mesh_height = 2;
+        cfg.cluster = ClusterShape::new(1, 1);
+        let traces = small_traces(300, 4);
+        let mut sys = CmpSystem::new(cfg, traces.clone());
+        let controllers = sys.memory_map().controllers();
+        assert_eq!(controllers.len(), 4);
+        assert_eq!(controllers.iter().filter(|&&n| n == NodeId(3)).count(), 2);
+        let homes: Vec<NodeId> = sys.homes.iter().map(|h| h.node).collect();
+        assert_eq!(homes, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let event = sys.run(4_000_000);
+        let naive = CmpSystem::new(cfg, traces).run_naive(4_000_000);
+        assert!(event.completed);
+        for home in &sys.homes {
+            assert!(
+                home.mem.stats().offchip_fetches > 0,
+                "{:?} fetched nothing",
+                home.node
+            );
+        }
+        assert_eq!(event.cache.offchip_fetches, naive.cache.offchip_fetches);
         assert_eq!(format!("{event:?}"), format!("{naive:?}"));
     }
 

@@ -18,6 +18,9 @@ cargo test --doc -q --offline
 echo "==> cargo build --workspace --all-targets (benches, examples, reproduce)"
 cargo build --workspace --all-targets --offline
 
+echo "==> benchmark package (perfbench/) builds and passes its tests against the workspace API"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> equivalence suite (event-driven == naive stepping, bit for bit)"
 cargo test -q --offline --test equivalence
 

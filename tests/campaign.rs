@@ -1,10 +1,10 @@
 //! Integration tests of the campaign engine (plan / execute / assemble):
 //! plans deduplicate across figures, the parallel executor is
-//! thread-count-invariant, and the legacy `Runner` shim assembles exactly
-//! the figures the campaign path does.
+//! thread-count-invariant, and a run that exhausts its cycle budget never
+//! becomes a figure value.
 
 use loco::campaign::{CampaignPlan, Executor, FigureSpec, Scenario};
-use loco::{Benchmark, ExperimentParams, Figure, OrganizationKind, Runner};
+use loco::{Benchmark, ExperimentParams, Figure, OrganizationKind};
 
 fn quick() -> ExperimentParams {
     // Shorter traces than ExperimentParams::quick(): this suite runs many
@@ -84,35 +84,20 @@ fn one_thread_and_four_thread_executions_are_identical() {
 }
 
 #[test]
-fn runner_shim_matches_the_campaign_figures() {
-    let params = quick();
-    // Campaign path: plan both figures, execute in parallel, assemble.
+#[should_panic(expected = "exhausted its cycle budget")]
+fn assembling_an_incomplete_run_fails_loudly() {
+    // A budget far below what any quick scenario needs: every run stops
+    // with unfinished cores, and assembling must refuse to turn the
+    // truncated runtime into a figure value.
+    let params = ExperimentParams {
+        max_cycles: 1_000,
+        ..quick()
+    };
     let mut plan = CampaignPlan::new();
     plan.add_figure(&fig06(), &params);
-    plan.add_figure(&fig11(), &params);
     let results = Executor::new(2).execute(&params, &plan);
-    let campaign_fig06 = fig06().assemble(&params, &results);
-    let campaign_fig11 = fig11().assemble(&params, &results);
-    // Legacy path: the sequential memoizing Runner.
-    let mut runner = Runner::new(params);
-    let runner_fig06 = runner.fig06_private_vs_shared(&BENCHES);
-    let runner_fig11 = runner.fig11_runtime(&BENCHES);
-    assert_eq!(vec![runner_fig06], campaign_fig06);
-    assert_eq!(vec![runner_fig11], campaign_fig11);
-    // The shim runs each scenario exactly once (the memoization contract
-    // the seed Runner had), which is also the campaign plan size.
-    assert_eq!(runner.simulations_run(), plan.len() as u64);
-}
-
-#[test]
-fn runner_cache_is_reusable_as_a_campaign_result_set() {
-    let params = quick();
-    let mut runner = Runner::new(params);
-    let fig = runner.fig06_private_vs_shared(&BENCHES);
-    // The Runner's memoization cache is a ResultSet: assembling straight
-    // from it reproduces the figure without any further simulation.
-    let reassembled = fig06().assemble(&params, runner.results());
-    assert_eq!(vec![fig], reassembled);
+    assert!(results.iter().all(|(_, r)| !r.completed));
+    fig06().assemble(&params, &results);
 }
 
 #[test]
