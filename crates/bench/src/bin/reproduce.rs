@@ -1,6 +1,6 @@
 //! Regenerates every table and figure of the LOCO ASPLOS 2014 evaluation —
-//! as one *campaign*: the requested figures are planned (their scenarios
-//! enumerated and deduplicated), executed in parallel across all cores, and
+//! as one *campaign*: the requested figures are planned (the scenarios they
+//! read, deduplicated), executed in parallel across all cores, and
 //! assembled from the completed result set.
 //!
 //! ```text
@@ -27,7 +27,9 @@
 //! * `--markdown PATH` — additionally writes a markdown report (this is how
 //!   `EXPERIMENTS.md` is generated: `--params quick --markdown
 //!   EXPERIMENTS.md`).
-//! * `--benchmarks` — overrides the benchmark x-axis of figures 6–16.
+//! * `--benchmarks` — overrides the benchmark x-axis of figures 6–14 and
+//!   16–18 (not 15, whose x-axis is the Table-2 workloads, nor 19, whose
+//!   x-axis is the stress kinds).
 //!
 //! Everything nondeterministic (wall-clock timings, thread count, progress)
 //! goes to **stderr**; stdout and both output files depend only on the
@@ -159,18 +161,10 @@ fn parse_args() -> Options {
     opts
 }
 
-fn params_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Quick => "quick",
-        Scale::Cores64 => "paper64",
-        Scale::Cores256 => "paper256",
-    }
-}
-
 fn json_document(scale: Scale, figures: &[Figure]) -> String {
     Value::Object(vec![
         ("schema".into(), Value::String("loco-campaign/1".into())),
-        ("params".into(), Value::String(params_name(scale).into())),
+        ("params".into(), Value::String(scale.label().into())),
         (
             "figures".into(),
             Value::Array(figures.iter().map(Figure::to_json_value).collect()),
@@ -187,11 +181,11 @@ fn markdown_document(scale: Scale, n_scenarios: usize, figures: &[Figure]) -> St
     );
     out.push_str(&format!(
         "```sh\ncargo run --release -p loco-bench --bin reproduce -- \\\n    --params {} --figures all --markdown EXPERIMENTS.md\n```\n\n",
-        params_name(scale)
+        scale.label()
     ));
     out.push_str(&format!(
         "Campaign: params `{}`, {} distinct scenarios (deduplicated across\nfigures), executed by `loco::campaign::Executor` and assembled into the\ntables below. Output is byte-identical for any `--threads` value.\n\n",
-        params_name(scale),
+        scale.label(),
         n_scenarios
     ));
     out.push_str(
@@ -216,7 +210,7 @@ fn main() {
         params = params.with_mem_ops(m);
     }
 
-    // --- Plan: enumerate every requested figure, deduplicating scenarios.
+    // --- Plan: every scenario the requested figures read, deduplicated.
     let specs: Vec<FigureSpec> = opts
         .figures
         .iter()
@@ -230,7 +224,7 @@ fn main() {
     let executor = Executor::new(opts.threads);
     eprintln!(
         "LOCO campaign — params {} ({} cores, {} memory ops/core): {} figures, {} distinct scenarios, {} worker threads",
-        params_name(opts.scale),
+        opts.scale.label(),
         params.num_cores(),
         params.mem_ops_per_core,
         specs.len(),

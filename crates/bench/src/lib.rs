@@ -58,12 +58,12 @@ impl Scale {
         }
     }
 
-    /// Scale label used in output paths.
+    /// The scale's `--params` spelling (`quick`, `paper64`, `paper256`).
     pub fn label(self) -> &'static str {
         match self {
             Scale::Quick => "quick",
-            Scale::Cores64 => "64",
-            Scale::Cores256 => "256",
+            Scale::Cores64 => "paper64",
+            Scale::Cores256 => "paper256",
         }
     }
 }
@@ -175,6 +175,9 @@ mod tests {
         assert_eq!(Scale::parse("paper64"), Some(Scale::Cores64));
         assert_eq!(Scale::parse("paper256"), Some(Scale::Cores256));
         assert_eq!(Scale::parse("bogus"), None);
+        for scale in [Scale::Quick, Scale::Cores64, Scale::Cores256] {
+            assert_eq!(Scale::parse(scale.label()), Some(scale));
+        }
     }
 
     #[test]
@@ -183,7 +186,7 @@ mod tests {
         let specs = figure_specs(Scale::Quick, &all, None);
         assert_eq!(specs.len(), 14);
         for (spec, number) in specs.iter().zip(FIGURE_NUMBERS) {
-            assert_eq!(spec.number(), number);
+            assert_eq!(spec.id(), format!("fig{number:02}"));
             assert!(!spec.title().is_empty());
         }
         assert!(figure_spec(Scale::Quick, 5, None).is_none());

@@ -5,11 +5,12 @@
 //! Figures 6–16, plus the energy and stress Figures 17–19). This module
 //! runs it in three phases, at the scale set by [`ExperimentParams`]:
 //!
-//! 1. **Plan** — every figure is described by a [`FigureSpec`] whose
-//!    [`FigureSpec::enumerate`] pass is *pure*: it returns the [`Scenario`]s
-//!    the figure needs, without running anything. Scenarios from several
-//!    figures are deduplicated into one [`CampaignPlan`] (composing fig06
-//!    and fig11 over the same matrix enumerates each shared scenario once).
+//! 1. **Plan** — every figure is described by a [`FigureSpec`].
+//!    [`CampaignPlan::add_figure`] runs the figure's assembly on placeholder
+//!    results and records the [`Scenario`]s it reads, in order, without
+//!    running anything. Scenarios from several figures are deduplicated
+//!    into one [`CampaignPlan`] (composing fig06 and fig11 over the same
+//!    matrix plans each shared scenario once).
 //! 2. **Execute** — an [`Executor`] shards the plan across
 //!    `std::thread::scope` workers pulling jobs from an atomic index. Each
 //!    worker constructs its own `TraceGenerator` and `CmpSystem` (every
@@ -383,16 +384,15 @@ impl CampaignPlan {
         }
     }
 
-    /// Adds every scenario of an iterator (duplicates are dropped).
-    pub fn extend(&mut self, scenarios: impl IntoIterator<Item = Scenario>) {
-        for s in scenarios {
-            self.add(s);
-        }
-    }
-
-    /// Adds everything a figure needs.
+    /// Adds everything a figure needs, in the order it reads them: runs the
+    /// figure's assembly on a placeholder result, recording each scenario
+    /// it asks for, and discards the placeholder figures.
     pub fn add_figure(&mut self, spec: &FigureSpec, params: &ExperimentParams) {
-        self.extend(spec.enumerate(params));
+        let placeholder = SimResults::default();
+        spec.build(params, &mut |s| {
+            self.add(s);
+            &placeholder
+        });
     }
 
     /// The planned scenarios, in first-seen order.
@@ -548,8 +548,12 @@ impl Executor {
         let workers = self.threads.min(n).max(1);
         let mut slots: Vec<Option<Arc<SimResults>>> = Vec::with_capacity(n);
         if workers <= 1 {
-            // Inline fast path: no thread or lock overhead for sequential
-            // execution.
+            // Run a single worker inline, on the calling thread. The reason
+            // is memory, not speed: the `perfbench` stall16 workload runs 1
+            // worker, and sending it through the scoped pool raised its
+            // `peak_rss_mb` from about 4.2 to 6.6 MB (identical result
+            // digests), past the 0.15 bound in BENCHMARK.json. The spawned
+            // thread's allocator arena is the likely cause. Keep this path.
             slots.extend(
                 scenarios
                     .iter()
@@ -586,9 +590,10 @@ impl Executor {
     }
 }
 
-/// A declarative description of one figure of the paper: which scenarios it
-/// needs ([`FigureSpec::enumerate`]) and how the figure is built from their
-/// results ([`FigureSpec::assemble`]). Both passes are pure.
+/// A declarative description of one figure of the paper. Its assembly pass
+/// ([`FigureSpec::assemble`]) is the only place a figure names the scenarios
+/// it reads: the plan pass ([`CampaignPlan::add_figure`]) runs the same
+/// builder and records those reads. Both passes are pure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FigureSpec {
     /// Figure 6: private-cache runtime normalized to the shared cache.
@@ -691,7 +696,7 @@ const ENERGY_ORGS: [OrganizationKind; 5] = [
 ];
 
 impl FigureSpec {
-    /// The figure's identifier ("fig06" … "fig18").
+    /// The figure's identifier ("fig06" … "fig19").
     pub fn id(&self) -> &'static str {
         match self {
             FigureSpec::Fig06 { .. } => "fig06",
@@ -708,27 +713,6 @@ impl FigureSpec {
             FigureSpec::Fig17Energy { .. } => "fig17",
             FigureSpec::Fig18Edp { .. } => "fig18",
             FigureSpec::Fig19Stall => "fig19",
-        }
-    }
-
-    /// The figure number (6–16 mirror the paper; 17–18 are the energy
-    /// figures this reproduction adds on top of the evaluation).
-    pub fn number(&self) -> u32 {
-        match self {
-            FigureSpec::Fig06 { .. } => 6,
-            FigureSpec::Fig07 { .. } => 7,
-            FigureSpec::Fig08 { .. } => 8,
-            FigureSpec::Fig09 { .. } => 9,
-            FigureSpec::Fig10 { .. } => 10,
-            FigureSpec::Fig11 { .. } => 11,
-            FigureSpec::Fig12 { .. } => 12,
-            FigureSpec::Fig13 { .. } => 13,
-            FigureSpec::Fig14 { .. } => 14,
-            FigureSpec::Fig15 { .. } => 15,
-            FigureSpec::Fig16 { .. } => 16,
-            FigureSpec::Fig17Energy { .. } => 17,
-            FigureSpec::Fig18Edp { .. } => 18,
-            FigureSpec::Fig19Stall => 19,
         }
     }
 
@@ -755,609 +739,490 @@ impl FigureSpec {
         }
     }
 
-    /// Every scenario this figure reads — the pure *plan* pass. The order
-    /// is deterministic (it mirrors the assembly loops), and duplicates
-    /// within one figure are fine: [`CampaignPlan::extend`] deduplicates.
-    pub fn enumerate(&self, params: &ExperimentParams) -> Vec<Scenario> {
-        let mut out = Vec::new();
-        match self {
-            FigureSpec::Fig06 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Private));
-                }
-            }
-            FigureSpec::Fig07 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Private));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVmsIvr));
-                }
-            }
-            FigureSpec::Fig08 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVmsIvr));
-                }
-            }
-            FigureSpec::Fig09 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCc));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVms));
-                }
-            }
-            FigureSpec::Fig10 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVms));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVmsIvr));
-                }
-            }
-            FigureSpec::Fig11 { benchmarks } => {
-                for &b in benchmarks {
-                    for org in [
-                        OrganizationKind::Shared,
-                        OrganizationKind::LocoCc,
-                        OrganizationKind::LocoCcVms,
-                        OrganizationKind::LocoCcVmsIvr,
-                    ] {
-                        out.push(Scenario::default_trace(params, b, org));
-                    }
-                }
-            }
-            FigureSpec::Fig12 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Private));
-                    for router in NOC_SWEEP {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router,
-                            cluster: params.cluster,
-                            full_system: false,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig13 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    for router in NOC_SWEEP {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router,
-                            cluster: params.cluster,
-                            full_system: false,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig14 { benchmarks, shapes } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Private));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    for &shape in shapes {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router: RouterKind::Smart,
-                            cluster: shape,
-                            full_system: false,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig15 { workloads } => {
-                for &w in workloads {
-                    for org in [
-                        OrganizationKind::Shared,
-                        OrganizationKind::LocoCc,
-                        OrganizationKind::LocoCcVmsIvr,
-                    ] {
-                        out.push(Scenario::MultiProgram { workload: w, org });
-                    }
-                }
-            }
-            FigureSpec::Fig16 { benchmarks } => {
-                for &b in benchmarks {
-                    for org in [
-                        OrganizationKind::Shared,
-                        OrganizationKind::LocoCc,
-                        OrganizationKind::LocoCcVms,
-                        OrganizationKind::LocoCcVmsIvr,
-                    ] {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org,
-                            router: RouterKind::Smart,
-                            cluster: params.cluster,
-                            full_system: true,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig17Energy { benchmarks } => {
-                for &b in benchmarks {
-                    for org in ENERGY_ORGS {
-                        out.push(Scenario::default_trace(params, b, org));
-                    }
-                }
-            }
-            FigureSpec::Fig18Edp { benchmarks, shapes } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    for &shape in shapes {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router: RouterKind::Smart,
-                            cluster: shape,
-                            full_system: false,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig19Stall => {
-                for kind in StressKind::ALL {
-                    for router in NOC_SWEEP {
-                        out.push(Scenario::StallStress { kind, router });
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Builds the figure(s) from a completed result set — the pure
-    /// *assemble* pass. Figures with sub-parts (12, 14, 15, 16) return more
-    /// than one [`Figure`]; the rest return exactly one.
+    /// *assemble* pass. Figures with sub-parts (12, 14, 15, 16, 17) return
+    /// more than one [`Figure`]; the rest return exactly one.
     ///
     /// # Panics
     ///
-    /// Panics if a scenario from [`FigureSpec::enumerate`] is missing from
-    /// `results`.
+    /// Panics (see [`ResultSet::expect`]) if a scenario the figure reads is
+    /// missing from `results` — the executed plan did not include this
+    /// figure — or did not complete.
     pub fn assemble(&self, params: &ExperimentParams, results: &ResultSet) -> Vec<Figure> {
-        let get_default = |b: Benchmark, org: OrganizationKind| -> &SimResults {
-            results.expect(&Scenario::default_trace(params, b, org))
+        self.build(params, &mut |s| results.expect(&s))
+    }
+
+    /// The one description of every figure: reads each scenario through
+    /// `read` and builds the figure(s). [`FigureSpec::assemble`] reads
+    /// completed results; [`CampaignPlan::add_figure`] records the reads, in
+    /// order, as the plan. Every figure reads through [`sweep`], so the plan
+    /// is x-axis-major: per x point, the baselines first, then each series.
+    /// Which scenarios are read must never depend on the values read: the
+    /// plan pass reads zeroed placeholders.
+    fn build<'r>(
+        &self,
+        params: &ExperimentParams,
+        read: &mut dyn FnMut(Scenario) -> &'r SimResults,
+    ) -> Vec<Figure> {
+        use OrganizationKind::{LocoCc, LocoCcVms, LocoCcVmsIvr, Private, Shared};
+        let at = |b: Benchmark, org: OrganizationKind| Scenario::default_trace(params, b, org);
+        let loco = |b: Benchmark, router: RouterKind, cluster: ClusterShape| Scenario::Trace {
+            benchmark: b,
+            org: LocoCcVmsIvr,
+            router,
+            cluster,
+            full_system: false,
         };
-        let bench_labels =
-            |benchmarks: &[Benchmark]| benchmarks.iter().map(|b| b.name().to_string()).collect();
+        let name = |b: Benchmark| b.name().to_string();
+        let id = |fig: &str| format!("{fig}-{}", params.label());
         match self {
-            FigureSpec::Fig06 { benchmarks } => {
-                let mut fig = Figure::new(
+            FigureSpec::Fig06 { benchmarks } => sweep(
+                vec![panel(
                     "fig06",
                     "Normalized runtime of private caches vs. shared caches",
                     "runtime normalized to Shared Cache",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let mut private = Vec::new();
-                for &b in benchmarks {
-                    let shared = get_default(b, OrganizationKind::Shared);
-                    let priv_r = get_default(b, OrganizationKind::Private);
-                    private.push(priv_r.runtime_normalized_to(shared));
-                }
-                fig.push_series(Series::new("Private Cache", private));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig07 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig07-{}", params.label()),
+                    ["Private Cache"],
+                )],
+                benchmarks,
+                name,
+                |b| {
+                    let shared = read(at(b, Shared));
+                    vec![vec![read(at(b, Private)).runtime_normalized_to(shared)]]
+                },
+            ),
+            FigureSpec::Fig07 { benchmarks } => sweep(
+                vec![panel(
+                    id("fig07"),
                     "Increase of L2 access latency over Private Cache",
                     "cycles",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let (mut shared_v, mut loco_v) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    let private = get_default(b, OrganizationKind::Private);
-                    let shared = get_default(b, OrganizationKind::Shared);
-                    let loco = get_default(b, OrganizationKind::LocoCcVmsIvr);
-                    shared_v.push((shared.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0));
-                    loco_v.push((loco.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0));
-                }
-                fig.push_series(Series::new("Shared Cache", shared_v));
-                fig.push_series(Series::new("LOCO", loco_v));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig08 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig08-{}", params.label()),
+                    ["Shared Cache", "LOCO"],
+                )],
+                benchmarks,
+                name,
+                |b| {
+                    let private = read(at(b, Private));
+                    let shared = read(at(b, Shared));
+                    let loco = read(at(b, LocoCcVmsIvr));
+                    vec![vec![
+                        latency_over(shared, private),
+                        latency_over(loco, private),
+                    ]]
+                },
+            ),
+            FigureSpec::Fig08 { benchmarks } => sweep(
+                vec![panel(
+                    id("fig08"),
                     "L2 cache misses per 1000 instructions",
                     "MPKI",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let (mut shared_v, mut loco_v) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    shared_v.push(get_default(b, OrganizationKind::Shared).l2_mpki);
-                    loco_v.push(get_default(b, OrganizationKind::LocoCcVmsIvr).l2_mpki);
-                }
-                fig.push_series(Series::new("Shared Cache", shared_v));
-                fig.push_series(Series::new("LOCO", loco_v));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig09 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig09-{}", params.label()),
+                    ["Shared Cache", "LOCO"],
+                )],
+                benchmarks,
+                name,
+                |b| {
+                    vec![vec![
+                        read(at(b, Shared)).l2_mpki,
+                        read(at(b, LocoCcVmsIvr)).l2_mpki,
+                    ]]
+                },
+            ),
+            FigureSpec::Fig09 { benchmarks } => sweep(
+                vec![panel(
+                    id("fig09"),
                     "Global search delay for data cached on-chip",
                     "cycles",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let (mut cc, mut vms) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    cc.push(get_default(b, OrganizationKind::LocoCc).avg_search_delay);
-                    vms.push(get_default(b, OrganizationKind::LocoCcVms).avg_search_delay);
-                }
-                fig.push_series(Series::new("LOCO CC", cc));
-                fig.push_series(Series::new("LOCO CC+VMS", vms));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig10 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig10-{}", params.label()),
+                    ["LOCO CC", "LOCO CC+VMS"],
+                )],
+                benchmarks,
+                name,
+                |b| {
+                    vec![vec![
+                        read(at(b, LocoCc)).avg_search_delay,
+                        read(at(b, LocoCcVms)).avg_search_delay,
+                    ]]
+                },
+            ),
+            FigureSpec::Fig10 { benchmarks } => sweep(
+                vec![panel(
+                    id("fig10"),
                     "Normalized off-chip memory accesses",
                     "normalized to Shared Cache",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let (mut vms, mut ivr) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    let shared = get_default(b, OrganizationKind::Shared);
-                    vms.push(get_default(b, OrganizationKind::LocoCcVms).offchip_normalized_to(shared));
-                    ivr.push(
-                        get_default(b, OrganizationKind::LocoCcVmsIvr).offchip_normalized_to(shared),
-                    );
-                }
-                fig.push_series(Series::new("LOCO CC+VMS", vms));
-                fig.push_series(Series::new("LOCO CC+VMS+IVR", ivr));
-                fig.push_average_column();
-                vec![fig]
-            }
+                    ["LOCO CC+VMS", "LOCO CC+VMS+IVR"],
+                )],
+                benchmarks,
+                name,
+                |b| {
+                    let shared = read(at(b, Shared));
+                    vec![[LocoCcVms, LocoCcVmsIvr]
+                        .map(|org| read(at(b, org)).offchip_normalized_to(shared))
+                        .to_vec()]
+                },
+            ),
             FigureSpec::Fig11 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig11-{}", params.label()),
-                    "Normalized runtimes of LOCO against baseline Shared Cache",
-                    "runtime normalized to Shared Cache",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let mut series: Vec<(OrganizationKind, Vec<f64>)> = vec![
-                    (OrganizationKind::Shared, Vec::new()),
-                    (OrganizationKind::LocoCc, Vec::new()),
-                    (OrganizationKind::LocoCcVms, Vec::new()),
-                    (OrganizationKind::LocoCcVmsIvr, Vec::new()),
-                ];
-                for &b in benchmarks {
-                    let shared = get_default(b, OrganizationKind::Shared);
-                    for (org, values) in &mut series {
-                        let r = get_default(b, *org);
-                        values.push(r.runtime_normalized_to(shared));
-                    }
-                }
-                for (org, values) in series {
-                    fig.push_series(Series::new(org.label(), values));
-                }
-                fig.push_average_column();
-                vec![fig]
+                let orgs = [Shared, LocoCc, LocoCcVms, LocoCcVmsIvr];
+                sweep(
+                    vec![panel(
+                        id("fig11"),
+                        "Normalized runtimes of LOCO against baseline Shared Cache",
+                        "runtime normalized to Shared Cache",
+                        orgs.map(OrganizationKind::label),
+                    )],
+                    benchmarks,
+                    name,
+                    |b| {
+                        let shared = read(at(b, Shared));
+                        vec![orgs
+                            .map(|org| read(at(b, org)).runtime_normalized_to(shared))
+                            .to_vec()]
+                    },
+                )
             }
-            FigureSpec::Fig12 { benchmarks } => {
-                let mut latency = Figure::new(
-                    format!("fig12a-{}", params.label()),
-                    "LOCO L2 hit latency under alternative NoCs",
-                    "cycles over Private Cache",
-                );
-                let mut search = Figure::new(
-                    format!("fig12b-{}", params.label()),
-                    "LOCO global on-chip data search delay under alternative NoCs",
-                    "cycles",
-                );
-                latency.x_labels = bench_labels(benchmarks);
-                search.x_labels = bench_labels(benchmarks);
-                for router in NOC_SWEEP {
-                    let (mut lat_v, mut sea_v) = (Vec::new(), Vec::new());
-                    for &b in benchmarks {
-                        let private = get_default(b, OrganizationKind::Private);
-                        let r = results.expect(&Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router,
-                            cluster: params.cluster,
-                            full_system: false,
-                        });
-                        lat_v.push((r.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0));
-                        sea_v.push(r.avg_search_delay);
-                    }
-                    latency.push_series(Series::new(format!("LOCO + {}", router.label()), lat_v));
-                    search.push_series(Series::new(format!("LOCO + {}", router.label()), sea_v));
-                }
-                latency.push_average_column();
-                search.push_average_column();
-                vec![latency, search]
-            }
-            FigureSpec::Fig13 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig13-{}", params.label()),
+            FigureSpec::Fig12 { benchmarks } => sweep(
+                vec![
+                    panel(
+                        id("fig12a"),
+                        "LOCO L2 hit latency under alternative NoCs",
+                        "cycles over Private Cache",
+                        noc_labels(),
+                    ),
+                    panel(
+                        id("fig12b"),
+                        "LOCO global on-chip data search delay under alternative NoCs",
+                        "cycles",
+                        noc_labels(),
+                    ),
+                ],
+                benchmarks,
+                name,
+                |b| {
+                    let private = read(at(b, Private));
+                    let runs = NOC_SWEEP.map(|router| read(loco(b, router, params.cluster)));
+                    vec![
+                        runs.iter().map(|r| latency_over(r, private)).collect(),
+                        runs.iter().map(|r| r.avg_search_delay).collect(),
+                    ]
+                },
+            ),
+            FigureSpec::Fig13 { benchmarks } => sweep(
+                vec![panel(
+                    id("fig13"),
                     "LOCO runtime under alternative NoCs",
                     "runtime normalized to Shared Cache on SMART NoC",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                for router in NOC_SWEEP {
-                    let mut v = Vec::new();
-                    for &b in benchmarks {
-                        let shared = get_default(b, OrganizationKind::Shared);
-                        let r = results.expect(&Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router,
-                            cluster: params.cluster,
-                            full_system: false,
-                        });
-                        v.push(r.runtime_normalized_to(shared));
-                    }
-                    fig.push_series(Series::new(format!("LOCO + {}", router.label()), v));
-                }
-                fig.push_average_column();
-                vec![fig]
-            }
+                    noc_labels(),
+                )],
+                benchmarks,
+                name,
+                |b| {
+                    let shared = read(at(b, Shared));
+                    vec![NOC_SWEEP
+                        .map(|router| {
+                            read(loco(b, router, params.cluster)).runtime_normalized_to(shared)
+                        })
+                        .to_vec()]
+                },
+            ),
             FigureSpec::Fig14 { benchmarks, shapes } => {
-                let mut latency = Figure::new(
-                    "fig14a",
-                    "L2 hit latency increase by cluster size",
-                    "cycles over Private Cache",
-                );
-                let mut mpki =
-                    Figure::new("fig14b", "L2 misses per 1000 instructions by cluster size", "MPKI");
-                let mut search = Figure::new("fig14c", "Global search delay by cluster size", "cycles");
-                let mut runtime = Figure::new(
-                    "fig14d",
-                    "Normalized runtime by cluster size",
-                    "runtime normalized to Shared Cache",
-                );
-                let x: Vec<String> = bench_labels(benchmarks);
-                latency.x_labels = x.clone();
-                mpki.x_labels = x.clone();
-                search.x_labels = x.clone();
-                runtime.x_labels = x;
-                for &shape in shapes {
-                    let label = format!("Cluster Size:{}x{}", shape.w, shape.h);
-                    let (mut lv, mut mv, mut sv, mut rv) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-                    for &b in benchmarks {
-                        let private = get_default(b, OrganizationKind::Private);
-                        let shared = get_default(b, OrganizationKind::Shared);
-                        let r = results.expect(&Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router: RouterKind::Smart,
-                            cluster: shape,
-                            full_system: false,
-                        });
-                        lv.push((r.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0));
-                        mv.push(r.l2_mpki);
-                        sv.push(r.avg_search_delay);
-                        rv.push(r.runtime_normalized_to(shared));
-                    }
-                    latency.push_series(Series::new(label.clone(), lv));
-                    mpki.push_series(Series::new(label.clone(), mv));
-                    search.push_series(Series::new(label.clone(), sv));
-                    runtime.push_series(Series::new(label, rv));
-                }
-                for f in [&mut latency, &mut mpki, &mut search, &mut runtime] {
-                    f.push_average_column();
-                }
-                vec![latency, mpki, search, runtime]
+                let labels = cluster_labels(shapes);
+                sweep(
+                    vec![
+                        panel(
+                            "fig14a",
+                            "L2 hit latency increase by cluster size",
+                            "cycles over Private Cache",
+                            &labels,
+                        ),
+                        panel(
+                            "fig14b",
+                            "L2 misses per 1000 instructions by cluster size",
+                            "MPKI",
+                            &labels,
+                        ),
+                        panel(
+                            "fig14c",
+                            "Global search delay by cluster size",
+                            "cycles",
+                            &labels,
+                        ),
+                        panel(
+                            "fig14d",
+                            "Normalized runtime by cluster size",
+                            "runtime normalized to Shared Cache",
+                            &labels,
+                        ),
+                    ],
+                    benchmarks,
+                    name,
+                    |b| {
+                        let private = read(at(b, Private));
+                        let shared = read(at(b, Shared));
+                        let runs: Vec<&SimResults> = shapes
+                            .iter()
+                            .map(|&shape| read(loco(b, RouterKind::Smart, shape)))
+                            .collect();
+                        vec![
+                            runs.iter().map(|r| latency_over(r, private)).collect(),
+                            runs.iter().map(|r| r.l2_mpki).collect(),
+                            runs.iter().map(|r| r.avg_search_delay).collect(),
+                            runs.iter()
+                                .map(|r| r.runtime_normalized_to(shared))
+                                .collect(),
+                        ]
+                    },
+                )
             }
             FigureSpec::Fig15 { workloads } => {
-                let mut offchip = Figure::new(
-                    "fig15a",
-                    "Multi-program workloads: normalized off-chip memory accesses",
-                    "normalized to Shared Cache",
-                );
-                let mut runtime = Figure::new(
-                    "fig15b",
-                    "Multi-program workloads: normalized runtime",
-                    "normalized to Shared Cache",
-                );
-                let labels: Vec<String> = workloads.iter().map(|w| format!("W{w}")).collect();
-                offchip.x_labels = labels.clone();
-                runtime.x_labels = labels;
-                let orgs = [
-                    OrganizationKind::Shared,
-                    OrganizationKind::LocoCc,
-                    OrganizationKind::LocoCcVmsIvr,
-                ];
-                let mut off_series: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
-                let mut run_series: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
-                for &w in workloads {
-                    let shared = results.expect(&Scenario::MultiProgram {
-                        workload: w,
-                        org: OrganizationKind::Shared,
-                    });
-                    for (i, &org) in orgs.iter().enumerate() {
-                        let r = results.expect(&Scenario::MultiProgram { workload: w, org });
-                        off_series[i].push(r.offchip_normalized_to(shared));
-                        run_series[i].push(r.runtime_normalized_to(shared));
-                    }
-                }
-                for (i, org) in orgs.iter().enumerate() {
-                    let label = if *org == OrganizationKind::LocoCc {
-                        "Clustered Cache".to_string()
+                let orgs = [Shared, LocoCc, LocoCcVmsIvr];
+                let labels = orgs.map(|org| {
+                    if org == LocoCc {
+                        "Clustered Cache"
                     } else {
-                        org.label().to_string()
-                    };
-                    offchip.push_series(Series::new(label.clone(), off_series[i].clone()));
-                    runtime.push_series(Series::new(label, run_series[i].clone()));
-                }
-                offchip.push_average_column();
-                runtime.push_average_column();
-                vec![offchip, runtime]
+                        org.label()
+                    }
+                });
+                sweep(
+                    vec![
+                        panel(
+                            "fig15a",
+                            "Multi-program workloads: normalized off-chip memory accesses",
+                            "normalized to Shared Cache",
+                            labels,
+                        ),
+                        panel(
+                            "fig15b",
+                            "Multi-program workloads: normalized runtime",
+                            "normalized to Shared Cache",
+                            labels,
+                        ),
+                    ],
+                    workloads,
+                    |w| format!("W{w}"),
+                    |workload| {
+                        let shared = read(Scenario::MultiProgram {
+                            workload,
+                            org: Shared,
+                        });
+                        let runs = orgs.map(|org| read(Scenario::MultiProgram { workload, org }));
+                        vec![
+                            runs.iter()
+                                .map(|r| r.offchip_normalized_to(shared))
+                                .collect(),
+                            runs.iter()
+                                .map(|r| r.runtime_normalized_to(shared))
+                                .collect(),
+                        ]
+                    },
+                )
             }
             FigureSpec::Fig16 { benchmarks } => {
-                let get_fs = |b: Benchmark, org: OrganizationKind| -> &SimResults {
-                    results.expect(&Scenario::Trace {
-                        benchmark: b,
-                        org,
-                        router: RouterKind::Smart,
-                        cluster: params.cluster,
-                        full_system: true,
-                    })
+                let orgs = [LocoCc, LocoCcVms, LocoCcVmsIvr];
+                let full_system = |b: Benchmark, org: OrganizationKind| Scenario::Trace {
+                    benchmark: b,
+                    org,
+                    router: RouterKind::Smart,
+                    cluster: params.cluster,
+                    full_system: true,
                 };
-                let mut mpki = Figure::new(
-                    "fig16a",
-                    "Full system simulation: L2 misses per 1000 instructions",
-                    "MPKI",
-                );
-                mpki.x_labels = bench_labels(benchmarks);
-                let (mut shared_v, mut loco_v) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    shared_v.push(get_fs(b, OrganizationKind::Shared).l2_mpki);
-                    loco_v.push(get_fs(b, OrganizationKind::LocoCcVmsIvr).l2_mpki);
-                }
-                mpki.push_series(Series::new("Shared", shared_v));
-                mpki.push_series(Series::new("LOCO", loco_v));
-                mpki.push_average_column();
-
-                let mut runtime = Figure::new(
-                    "fig16b",
-                    "Full system simulation: normalized runtime against Shared Cache",
-                    "runtime normalized to Shared Cache",
-                );
-                runtime.x_labels = bench_labels(benchmarks);
-                let orgs = [
-                    OrganizationKind::LocoCc,
-                    OrganizationKind::LocoCcVms,
-                    OrganizationKind::LocoCcVmsIvr,
-                ];
-                let mut series: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
-                for &b in benchmarks {
-                    let shared = get_fs(b, OrganizationKind::Shared);
-                    for (i, &org) in orgs.iter().enumerate() {
-                        series[i].push(get_fs(b, org).runtime_normalized_to(shared));
-                    }
-                }
-                for (i, org) in orgs.iter().enumerate() {
-                    runtime.push_series(Series::new(org.label(), series[i].clone()));
-                }
-                runtime.push_average_column();
-                vec![mpki, runtime]
+                sweep(
+                    vec![
+                        panel(
+                            "fig16a",
+                            "Full system simulation: L2 misses per 1000 instructions",
+                            "MPKI",
+                            ["Shared", "LOCO"],
+                        ),
+                        panel(
+                            "fig16b",
+                            "Full system simulation: normalized runtime against Shared Cache",
+                            "runtime normalized to Shared Cache",
+                            orgs.map(OrganizationKind::label),
+                        ),
+                    ],
+                    benchmarks,
+                    name,
+                    |b| {
+                        let shared = read(full_system(b, Shared));
+                        let [cc, vms, ivr] = orgs.map(|org| read(full_system(b, org)));
+                        vec![
+                            vec![shared.l2_mpki, ivr.l2_mpki],
+                            [cc, vms, ivr]
+                                .map(|r| r.runtime_normalized_to(shared))
+                                .to_vec(),
+                        ]
+                    },
+                )
             }
             FigureSpec::Fig17Energy { benchmarks } => {
                 let energy = EnergyParams::default();
-                let breakdown = |b: Benchmark, org: OrganizationKind| -> EnergyBreakdown {
-                    energy.breakdown(get_default(b, org))
-                };
                 // 17a: energy per instruction, per organization, across the
                 // benchmark x-axis (nJ so the magnitudes stay readable).
-                let mut epi = Figure::new(
-                    format!("fig17a-{}", params.label()),
-                    "Energy per instruction by cache organization",
-                    "nJ / instruction",
+                let mut breakdowns: Vec<[EnergyBreakdown; 5]> = Vec::new();
+                let mut figs = sweep(
+                    vec![panel(
+                        id("fig17a"),
+                        "Energy per instruction by cache organization",
+                        "nJ / instruction",
+                        ENERGY_ORGS.map(OrganizationKind::label),
+                    )],
+                    benchmarks,
+                    name,
+                    |b| {
+                        let bds = ENERGY_ORGS.map(|org| energy.breakdown(read(at(b, org))));
+                        breakdowns.push(bds);
+                        vec![bds.iter().map(|bd| bd.epi_fj() / 1e6).collect()]
+                    },
                 );
-                epi.x_labels = bench_labels(benchmarks);
-                for org in ENERGY_ORGS {
-                    let v: Vec<f64> = benchmarks
-                        .iter()
-                        .map(|&b| breakdown(b, org).epi_fj() / 1e6)
-                        .collect();
-                    epi.push_series(Series::new(org.label(), v));
-                }
-                epi.push_average_column();
                 // 17b: the subsystem breakdown per organization, averaged
                 // over the benchmarks (the stacked-bar view of 17a).
                 let mut parts = Figure::new(
-                    format!("fig17b-{}", params.label()),
+                    id("fig17b"),
                     "Energy breakdown by subsystem (benchmark average)",
                     "nJ / instruction",
                 );
                 parts.x_labels = ENERGY_ORGS.iter().map(|o| o.label().to_string()).collect();
                 let n = benchmarks.len().max(1) as f64;
-                let component = |f: &dyn Fn(&EnergyBreakdown) -> u64| -> Vec<f64> {
-                    ENERGY_ORGS
-                        .iter()
-                        .map(|&org| {
-                            benchmarks
+                type Component = fn(&EnergyBreakdown) -> u64;
+                let components: [(&str, Component); 6] = [
+                    ("NoC", |b| b.network.total_fj()),
+                    ("L1", |b| b.cache.l1_fj),
+                    ("L2", |b| b.cache.l2_fj),
+                    ("Directory", |b| b.cache.directory_fj),
+                    ("VMS+IVR", |b| b.cache.vms_fj + b.cache.ivr_fj),
+                    ("DRAM", |b| b.dram_fj),
+                ];
+                for (label, f) in components {
+                    let per_org = (0..ENERGY_ORGS.len())
+                        .map(|i| {
+                            breakdowns
                                 .iter()
-                                .map(|&b| {
-                                    let bd = breakdown(b, org);
+                                .map(|bds| {
+                                    let bd = &bds[i];
                                     if bd.instructions == 0 {
                                         0.0
                                     } else {
-                                        f(&bd) as f64 / bd.instructions as f64 / 1e6
+                                        f(bd) as f64 / bd.instructions as f64 / 1e6
                                     }
                                 })
                                 .sum::<f64>()
                                 / n
                         })
-                        .collect()
-                };
-                parts.push_series(Series::new("NoC", component(&|b| b.network.total_fj())));
-                parts.push_series(Series::new("L1", component(&|b| b.cache.l1_fj)));
-                parts.push_series(Series::new("L2", component(&|b| b.cache.l2_fj)));
-                parts.push_series(Series::new(
-                    "Directory",
-                    component(&|b| b.cache.directory_fj),
-                ));
-                parts.push_series(Series::new(
-                    "VMS+IVR",
-                    component(&|b| b.cache.vms_fj + b.cache.ivr_fj),
-                ));
-                parts.push_series(Series::new("DRAM", component(&|b| b.dram_fj)));
-                vec![epi, parts]
+                        .collect();
+                    parts.push_series(Series::new(label, per_org));
+                }
+                figs.push(parts);
+                figs
             }
             FigureSpec::Fig18Edp { benchmarks, shapes } => {
                 let energy = EnergyParams::default();
-                let mut fig = Figure::new(
-                    format!("fig18-{}", params.label()),
-                    "Energy-delay product of LOCO by cluster size",
-                    "EDP normalized to Shared Cache",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                for &shape in shapes {
-                    let mut v = Vec::new();
-                    for &b in benchmarks {
-                        let shared =
-                            energy.breakdown(get_default(b, OrganizationKind::Shared));
-                        let r = results.expect(&Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router: RouterKind::Smart,
-                            cluster: shape,
-                            full_system: false,
-                        });
-                        v.push(energy.breakdown(r).edp_normalized_to(&shared));
-                    }
-                    fig.push_series(Series::new(
-                        format!("Cluster Size:{}x{}", shape.w, shape.h),
-                        v,
-                    ));
-                }
-                fig.push_average_column();
-                vec![fig]
+                sweep(
+                    vec![panel(
+                        id("fig18"),
+                        "Energy-delay product of LOCO by cluster size",
+                        "EDP normalized to Shared Cache",
+                        cluster_labels(shapes),
+                    )],
+                    benchmarks,
+                    name,
+                    |b| {
+                        let shared = energy.breakdown(read(at(b, Shared)));
+                        vec![shapes
+                            .iter()
+                            .map(|&shape| {
+                                energy
+                                    .breakdown(read(loco(b, RouterKind::Smart, shape)))
+                                    .edp_normalized_to(&shared)
+                            })
+                            .collect()]
+                    },
+                )
             }
-            FigureSpec::Fig19Stall => {
-                let mut fig = Figure::new(
+            FigureSpec::Fig19Stall => sweep(
+                vec![panel(
                     "fig19",
                     "Stall-heavy stress workloads under alternative NoCs",
                     "runtime normalized to SMART NoC",
-                );
-                fig.x_labels = StressKind::ALL.iter().map(|k| k.name().to_string()).collect();
-                for router in NOC_SWEEP {
-                    let mut v = Vec::new();
-                    for kind in StressKind::ALL {
-                        let smart = results.expect(&Scenario::StallStress {
-                            kind,
-                            router: RouterKind::Smart,
-                        });
-                        let r = results.expect(&Scenario::StallStress { kind, router });
-                        v.push(r.runtime_normalized_to(smart));
-                    }
-                    fig.push_series(Series::new(format!("LOCO + {}", router.label()), v));
-                }
-                fig.push_average_column();
-                vec![fig]
+                    noc_labels(),
+                )],
+                &StressKind::ALL,
+                |kind| kind.name().to_string(),
+                |kind| {
+                    let smart = read(Scenario::StallStress {
+                        kind,
+                        router: RouterKind::Smart,
+                    });
+                    vec![NOC_SWEEP
+                        .map(|router| {
+                            read(Scenario::StallStress { kind, router })
+                                .runtime_normalized_to(smart)
+                        })
+                        .to_vec()]
+                },
+            ),
+        }
+    }
+}
+
+/// An empty figure panel: the header and one still-empty series per label.
+fn panel<S: Into<String>>(
+    id: impl Into<String>,
+    title: &str,
+    y_label: &str,
+    series: impl IntoIterator<Item = S>,
+) -> Figure {
+    let mut fig = Figure::new(id, title, y_label);
+    fig.series = series
+        .into_iter()
+        .map(|label| Series::new(label, Vec::new()))
+        .collect();
+    fig
+}
+
+/// Fills `panels` point by point along one x-axis, then closes each with its
+/// `AVG` column. `row` reads one point's scenarios and returns, per panel,
+/// one value per series. Walking the x-axis once, in order, is what makes
+/// every figure's plan x-axis-major.
+fn sweep<X: Copy>(
+    mut panels: Vec<Figure>,
+    xs: &[X],
+    name: impl Fn(X) -> String,
+    mut row: impl FnMut(X) -> Vec<Vec<f64>>,
+) -> Vec<Figure> {
+    for &x in xs {
+        let rows = row(x);
+        assert_eq!(rows.len(), panels.len(), "one row per panel");
+        for (fig, values) in panels.iter_mut().zip(rows) {
+            assert_eq!(
+                values.len(),
+                fig.series.len(),
+                "{}: one value per series",
+                fig.id
+            );
+            fig.x_labels.push(name(x));
+            for (series, v) in fig.series.iter_mut().zip(values) {
+                series.values.push(v);
             }
         }
     }
+    for fig in &mut panels {
+        fig.push_average_column();
+    }
+    panels
+}
+
+/// L2 hit latency above the private-cache baseline (never negative).
+fn latency_over(r: &SimResults, private: &SimResults) -> f64 {
+    (r.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0)
+}
+
+/// One series label per router of [`NOC_SWEEP`].
+fn noc_labels() -> [String; 3] {
+    NOC_SWEEP.map(|router| format!("LOCO + {}", router.label()))
+}
+
+/// One series label per cluster shape.
+fn cluster_labels(shapes: &[ClusterShape]) -> Vec<String> {
+    shapes
+        .iter()
+        .map(|s| format!("Cluster Size:{}x{}", s.w, s.h))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1466,7 +1331,7 @@ mod tests {
         plan.add_figure(&spec, &params);
         assert_eq!(plan.len(), 5, "one scenario per organization");
         // The scenarios are plain default traces: composing with fig11
-        // re-enumerates nothing new beyond Private.
+        // plans nothing new.
         plan.add_figure(
             &FigureSpec::Fig11 {
                 benchmarks: vec![Benchmark::Lu],
@@ -1571,13 +1436,9 @@ mod tests {
                 shapes: vec![],
             },
         ];
-        assert_eq!(specs[0].id(), "fig06");
-        assert_eq!(specs[1].id(), "fig17");
-        assert_eq!(specs[1].number(), 17);
-        assert_eq!(specs[2].id(), "fig18");
-        assert_eq!(specs[2].number(), 18);
-        for s in &specs {
-            assert!(!s.title().is_empty());
+        for (spec, n) in specs.iter().zip([6, 17, 18]) {
+            assert_eq!(spec.id(), format!("fig{n:02}"));
+            assert!(!spec.title().is_empty());
         }
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! * [`SimulationBuilder`] — run one workload on one configuration,
 //! * [`campaign`] — the plan/execute/assemble campaign engine that
-//!   reproduces the paper's figures: enumerate the [`campaign::Scenario`]s
+//!   reproduces the paper's figures: plan the [`campaign::Scenario`]s
 //!   a set of figures needs at the scale of an [`ExperimentParams`],
 //!   execute them on all cores with [`campaign::Executor`], and assemble
 //!   the figures from the [`campaign::ResultSet`],

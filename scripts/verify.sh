@@ -48,9 +48,9 @@ echo "==> energy-figure smoke (fig17/fig18 on quick params, 1-vs-4-thread byte i
 cmp target/energy_t1.txt target/energy_t4.txt
 cmp target/energy_t1.json target/energy_t4.json
 ./target/release/reproduce --list-figures > target/figures.txt
-grep -q "^fig17" target/figures.txt || { echo "fig17 missing from --list-figures"; exit 1; }
-grep -q "^fig18" target/figures.txt || { echo "fig18 missing from --list-figures"; exit 1; }
-grep -q "^fig19" target/figures.txt || { echo "fig19 missing from --list-figures"; exit 1; }
+for n in 06 07 08 09 10 11 12 13 14 15 16 17 18 19; do
+    grep -q "^fig$n " target/figures.txt || { echo "fig$n missing from --list-figures"; exit 1; }
+done
 
 echo "==> stall-heavy figure smoke (fig19 stress scenarios, 1-vs-2-thread byte identity)"
 ./target/release/reproduce --params quick --figures fig19 --threads 2 --json target/stall_t2.json > target/stall_t2.txt 2>/dev/null
