@@ -1,9 +1,10 @@
 //! The fabric: one switch-allocation engine for all three router kinds.
 //!
 //! Every cycle the same pass runs: walk the routers holding packets, then
-//! their occupied input lanes; bucket the ready heads per cardinal output
-//! direction; and let the per-(router, direction) round-robin arbiter pick
-//! one winner, which then moves. What differs between the conventional,
+//! their occupied input lanes, reading only the flat head tables of
+//! [`InputBuffers`]; gather the ready heads into one lane bit mask per
+//! cardinal output direction; and let the per-(router, direction)
+//! round-robin arbiter grant one winner, which then moves. What differs between the conventional,
 //! SMART and high-radix routers is a small `Policy` derived from
 //! [`NocConfig::router`] when the fabric is built:
 //!
@@ -42,16 +43,10 @@
 use crate::config::{NocConfig, RouterKind};
 use crate::message::VirtualNetwork;
 use crate::router::{
-    ActiveSet, Arrival, Buffered, FlightInfo, InputBuffers, LinkOccupancy, RoundRobin,
+    set_bits, Arrival, Buffered, FlightInfo, InputBuffers, LinkOccupancy, RoundRobin, LANES,
 };
 use crate::stats::FabricCounters;
-use crate::topology::{Direction, Mesh, NodeId};
-
-/// Input ports per router: the four cardinal directions plus local.
-const PORTS: usize = 5;
-
-/// Lanes per router: 5 input ports x 5 virtual networks.
-const LANES: usize = PORTS * VirtualNetwork::ALL.len();
+use crate::topology::{Direction, NodeId};
 
 /// When a switch winner needs free space in the router it lands at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,13 +106,13 @@ impl Policy {
     }
 }
 
-/// One switch-allocation winner of the current cycle: the head of lane
-/// (`port`, `vn`) at `node` leaves through `dir`, requesting `span` hops
-/// and granted `hops` (SMART's SSR round may grant fewer).
+/// One switch-allocation winner of the current cycle: the head of `lane`
+/// (on `vn`) at `node` leaves through `dir`, requesting `span` hops and
+/// granted `hops` (SMART's SSR round may grant fewer).
 #[derive(Debug, Clone, Copy)]
 struct Move {
     node: NodeId,
-    port: usize,
+    lane: usize,
     vn: VirtualNetwork,
     dir: Direction,
     span: u16,
@@ -131,11 +126,8 @@ struct Move {
 #[derive(Debug)]
 pub struct Fabric {
     cfg: NocConfig,
-    mesh: Mesh,
     policy: Policy,
-    buffers: Vec<InputBuffers>,
-    /// Routers currently holding at least one buffered packet.
-    active: ActiveSet,
+    buffers: InputBuffers,
     /// One round-robin arbiter per (router, cardinal direction).
     arbiters: Vec<RoundRobin>,
     links: LinkOccupancy,
@@ -145,20 +137,13 @@ pub struct Fabric {
     // hottest loop; steady state must not allocate).
     move_scratch: Vec<Move>,
     /// Downstream buffer slots reserved by earlier winners this cycle,
-    /// indexed by `(node, port, vn)`; only the dirtied entries are reset.
+    /// indexed by mesh-wide lane; only the dirtied entries are reset.
     reserved_scratch: Vec<u8>,
     reserved_dirty: Vec<usize>,
     /// SMART: whether the link leaving `node` in a cardinal direction has
     /// been claimed by an SSR this cycle, indexed by `node * 4 + dir`.
     claimed_scratch: Vec<bool>,
     claimed_dirty: Vec<usize>,
-    /// Per-direction switch-allocation candidates (lane indices) of the
-    /// router currently being scanned; only `cand_len` entries are live, so
-    /// the buffer needs no per-router re-initialization.
-    cand_scratch: [[usize; LANES]; 4],
-    /// `(port, vn, span)` of the router currently being scanned, valid only
-    /// for lanes listed in `cand_scratch`.
-    meta_scratch: [(usize, VirtualNetwork, u16); LANES],
 }
 
 impl Fabric {
@@ -174,12 +159,8 @@ impl Fabric {
         };
         Fabric {
             cfg,
-            mesh,
             policy,
-            buffers: (0..nodes)
-                .map(|_| InputBuffers::new(PORTS, cfg.vn_buffer_capacity()))
-                .collect(),
-            active: ActiveSet::new(nodes),
+            buffers: InputBuffers::new(mesh, cfg.vn_buffer_capacity()),
             arbiters: (0..nodes * 4).map(|_| RoundRobin::new()).collect(),
             links: LinkOccupancy::new(nodes, links_per_node),
             in_flight: 0,
@@ -189,28 +170,25 @@ impl Fabric {
             reserved_dirty: Vec::new(),
             claimed_scratch: vec![false; nodes * 4],
             claimed_dirty: Vec::new(),
-            cand_scratch: [[0; LANES]; 4],
-            meta_scratch: [(0, VirtualNetwork::Request, 0); LANES],
         }
     }
 
     /// Whether the injection queue at `node` for `vn` can accept a packet.
     pub fn can_accept(&self, node: NodeId, vn: VirtualNetwork) -> bool {
-        self.buffers[node.index()].has_space(Direction::Local.index(), vn)
+        self.buffers
+            .has_space(InputBuffers::lane(node, Direction::Local.index(), vn))
     }
 
     /// Places a packet into the source router's local input port. The caller
     /// must have checked [`Fabric::can_accept`].
     pub fn inject(&mut self, flight: FlightInfo, now: u64) {
-        self.buffers[flight.src.index()].push(
-            Direction::Local.index(),
-            flight.vn,
+        self.buffers.push(
+            InputBuffers::lane(flight.src, Direction::Local.index(), flight.vn),
             Buffered {
                 flight,
                 ready_at: now + 1,
             },
         );
-        self.active.set(flight.src.index());
         self.in_flight += 1;
         self.counters.buffer_writes += 1;
     }
@@ -247,41 +225,42 @@ impl Fabric {
     /// round-robin outcomes match one scan per direction bit for bit.
     fn allocate(&mut self, now: u64, moves: &mut Vec<Move>) {
         debug_assert!(self.reserved_dirty.is_empty());
-        for node_idx in self.active.iter() {
+        // Requested span per lane of the router being scanned, valid only
+        // for its candidate lanes.
+        let mut spans = [0u16; LANES];
+        for node_idx in self.buffers.active() {
             let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            debug_assert!(!bufs.is_empty(), "active set out of sync");
-            let mut cand_len = [0usize; 4];
-            for (lane, port, vn) in bufs.occupied_lanes() {
-                let head = bufs.head(port, vn).expect("occupied lane has a head");
-                if head.ready_at > now {
+            // Per-direction candidate lane masks (bit = router-local lane),
+            // and the directions that have any.
+            let mut cand = [0u32; 4];
+            let mut dirs = 0;
+            for lane in self.buffers.occupied_lanes(node_idx) {
+                if self.buffers.head_ready(lane) > now {
                     continue;
                 }
-                let Some((dir, span)) = self.route(node, &head.flight) else {
+                let Some((dir, span)) = self.route(lane) else {
                     continue;
                 };
                 if !self.links.is_free(node, self.link_slot(dir, span), now)
-                    || self.downstream_full(node, dir, span, vn, head.flight.dest)
+                    || self.downstream_full(node, dir, span, lane)
                 {
                     continue;
                 }
-                let d = dir.index();
-                self.cand_scratch[d][cand_len[d]] = lane;
-                cand_len[d] += 1;
-                self.meta_scratch[lane] = (port, vn, span);
+                cand[dir.index()] |= 1 << (lane % LANES);
+                dirs |= 1 << dir.index();
+                spans[lane % LANES] = span;
             }
-            for dir in Direction::CARDINAL {
-                let d = dir.index();
-                if cand_len[d] == 0 {
-                    continue;
-                }
-                let arb = &mut self.arbiters[node_idx * 4 + d];
-                let Some(winner) = arb.pick(&self.cand_scratch[d][..cand_len[d]], LANES) else {
-                    continue;
-                };
-                let (port, vn, span) = self.meta_scratch[winner];
+            for d in set_bits(dirs) {
+                let dir = Direction::CARDINAL[d];
+                let winner = self.arbiters[node_idx * 4 + d]
+                    .grant(cand[d])
+                    .expect("a direction with candidates has a winner");
+                let lane = node_idx * LANES + winner;
+                let vn = lane_vn(lane);
+                let span = spans[winner];
                 if self.policy.capacity != CapacityCheck::Never {
-                    let ridx = reserve_idx(self.mesh.advance(node, dir, span), dir, vn);
+                    let landing = self.advance(node, dir, span);
+                    let ridx = InputBuffers::lane(landing, dir.opposite().index(), vn);
                     self.reserved_scratch[ridx] += 1;
                     self.reserved_dirty.push(ridx);
                 }
@@ -294,7 +273,7 @@ impl Fabric {
                 }
                 moves.push(Move {
                     node,
-                    port,
+                    lane,
                     vn,
                     dir,
                     span,
@@ -324,7 +303,7 @@ impl Fabric {
                 if mv.hops != round || round >= mv.span {
                     continue;
                 }
-                let at = self.mesh.advance(mv.node, mv.dir, round);
+                let at = self.advance(mv.node, mv.dir, round);
                 let idx = at.index() * 4 + mv.dir.index();
                 if self.claimed_scratch[idx] {
                     // Round 0 claims each SSR's own start link, which is
@@ -350,12 +329,7 @@ impl Fabric {
     /// link it crosses for the packet length, and either arrives at its
     /// destination or is latched at the router where it stops.
     fn apply(&mut self, mv: Move, now: u64, arrivals: &mut Vec<Arrival>) {
-        let buffered = self.buffers[mv.node.index()]
-            .pop(mv.port, mv.vn)
-            .expect("winner packet present");
-        if self.buffers[mv.node.index()].is_empty() {
-            self.active.clear(mv.node.index());
-        }
+        let buffered = self.buffers.pop(mv.lane).expect("winner packet present");
         let mut flight = buffered.flight;
         let flits = u64::from(flight.flits);
         let hops = u64::from(mv.hops);
@@ -373,7 +347,7 @@ impl Fabric {
             self.counters.pipeline_passes += 1;
             self.links
                 .occupy(mv.node, self.link_slot(mv.dir, mv.hops), now + flits);
-            self.mesh.advance(mv.node, mv.dir, mv.hops)
+            self.advance(mv.node, mv.dir, mv.hops)
         } else {
             // The path crosses the crossbar of every router it leaves (the
             // start plus any bypassed routers) and holds each link.
@@ -382,7 +356,7 @@ impl Fabric {
             let mut at = mv.node;
             for _ in 0..mv.hops {
                 self.links.occupy(at, mv.dir.index(), now + flits);
-                at = self.mesh.advance(at, mv.dir, 1);
+                at = self.advance(at, mv.dir, 1);
             }
             at
         };
@@ -396,15 +370,13 @@ impl Fabric {
             });
         } else {
             self.counters.buffer_writes += 1;
-            self.buffers[landing.index()].push(
-                mv.dir.opposite().index(),
-                mv.vn,
+            self.buffers.push(
+                InputBuffers::lane(landing, mv.dir.opposite().index(), mv.vn),
                 Buffered {
                     flight,
                     ready_at: now + flits + self.policy.stop_delay,
                 },
             );
-            self.active.set(landing.index());
         }
     }
 
@@ -431,16 +403,15 @@ impl Fabric {
     /// inherit the run/run_naive bit-identity from that rule).
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
-        for node_idx in self.active.iter() {
+        for node_idx in self.buffers.active() {
             let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            for (_, port, vn) in bufs.occupied_lanes() {
-                let head = bufs.head(port, vn).expect("occupied lane has a head");
-                let Some((dir, span)) = self.route(node, &head.flight) else {
+            for lane in self.buffers.occupied_lanes(node_idx) {
+                let Some((dir, span)) = self.route(lane) else {
                     continue;
                 };
-                let e = head
-                    .ready_at
+                let e = self
+                    .buffers
+                    .head_ready(lane)
                     .max(self.links.free_at(node, self.link_slot(dir, span)))
                     .max(now);
                 if e == now {
@@ -479,13 +450,27 @@ impl Fabric {
         self.counters.premature_stops
     }
 
-    /// Output direction and requested span for `flight` sitting at `at`:
-    /// the remaining distance in the current XY dimension, clamped to the
-    /// policy's longest traversal (SMART-1D and express links stop at the
-    /// turn router).
-    fn route(&self, at: NodeId, flight: &FlightInfo) -> Option<(Direction, u16)> {
-        let (dir, remaining) = self.mesh.xy_leg(at, flight.dest)?;
+    /// Output direction and requested span of the head of `lane`: the rest
+    /// of its XY leg, clamped to the policy's longest traversal (SMART-1D
+    /// and express links stop at the turn router).
+    fn route(&self, lane: usize) -> Option<(Direction, u16)> {
+        let (dir, remaining) = self.buffers.head_leg(lane)?;
         Some((dir, remaining.min(self.policy.max_span)))
+    }
+
+    /// The node `steps` hops from `from` in `dir`, by index arithmetic: a
+    /// fabric move never runs past the mesh edge (its span is clamped to
+    /// the distance left in its dimension).
+    fn advance(&self, from: NodeId, dir: Direction, steps: u16) -> NodeId {
+        let w = i32::from(self.cfg.mesh.width());
+        let at = i32::from(from.0) + i32::from(steps) * [1, -1, w, -w][dir.index()];
+        let at = NodeId(at as u16);
+        debug_assert_eq!(
+            at,
+            self.cfg.mesh.advance(from, dir, steps),
+            "a move crossed the mesh edge"
+        );
+        at
     }
 
     /// Index of the output link a move of `span` hops in `dir` uses.
@@ -498,35 +483,30 @@ impl Fabric {
         }
     }
 
-    /// Whether the router `span` hops from `node` in `dir` lacks room on
-    /// `vn` at the matching input port, counting the slots reserved by
-    /// earlier winners this cycle, when the policy asks for the check.
+    /// Whether the router `span` hops from `node` in `dir` lacks room in
+    /// the lane the head of `lane` would enter, counting the slots reserved
+    /// by earlier winners this cycle, when the policy asks for the check.
+    /// The high-radix check is waived when that router is the head's own
+    /// destination.
     // Runs once per ready head in the candidate scan; as an out-of-line call
     // it slowed the conventional fabric's tick measurably.
     #[inline(always)]
-    fn downstream_full(
-        &self,
-        node: NodeId,
-        dir: Direction,
-        span: u16,
-        vn: VirtualNetwork,
-        dest: NodeId,
-    ) -> bool {
+    fn downstream_full(&self, node: NodeId, dir: Direction, span: u16, lane: usize) -> bool {
         if self.policy.capacity == CapacityCheck::Never {
             return false;
         }
-        let landing = self.mesh.advance(node, dir, span);
-        let occ = self.buffers[landing.index()].occupancy(dir.opposite().index(), vn)
-            + self.reserved_scratch[reserve_idx(landing, dir, vn)] as usize;
+        let landing = self.advance(node, dir, span);
+        let down = InputBuffers::lane(landing, dir.opposite().index(), lane_vn(lane));
+        let occ = self.buffers.occupancy(down) + self.reserved_scratch[down] as usize;
         occ >= self.cfg.vn_buffer_capacity()
-            && (self.policy.capacity == CapacityCheck::Always || landing != dest)
+            && (self.policy.capacity == CapacityCheck::Always
+                || landing != self.buffers.head_dest(lane))
     }
 }
 
-/// Index into the reservation scratch of the input lane at `landing` that a
-/// packet travelling in `dir` on `vn` enters.
-fn reserve_idx(landing: NodeId, dir: Direction, vn: VirtualNetwork) -> usize {
-    (landing.index() * PORTS + dir.opposite().index()) * VirtualNetwork::ALL.len() + vn.index()
+/// Virtual network of a mesh-wide lane index.
+fn lane_vn(lane: usize) -> VirtualNetwork {
+    VirtualNetwork::ALL[lane % VirtualNetwork::ALL.len()]
 }
 
 /// A descriptor for unit tests: `flits` flits from `src` to `dest` on the

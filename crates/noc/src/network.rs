@@ -1,12 +1,12 @@
 //! The network front-end: payload ownership, multicast expansion, ejection
 //! queues and statistics, on top of the [`Fabric`] that moves packets under
-//! the configured router kind's policy.
+//! the configured router kind's policy. Payloads live in a slab indexed by
+//! [`PacketId`], whose freed slots are reused.
 
 use crate::config::NocConfig;
 use crate::fabric::Fabric;
-use crate::fx::FxHashMap;
 use crate::message::{Delivered, Destination, MulticastGroupId, NetMessage, VirtualNetwork};
-use crate::router::{Arrival, FlightInfo, PacketId};
+use crate::router::{ActiveSet, Arrival, FlightInfo, PacketId};
 use crate::stats::{FabricCounters, NetworkStats};
 use crate::topology::{Direction, NodeId};
 use crate::vms::MulticastTree;
@@ -88,8 +88,10 @@ pub struct Network<P> {
     fabric: Fabric,
     cycle: u64,
     groups: Vec<MulticastTree>,
-    packets: FxHashMap<PacketId, PacketRecord<P>>,
-    next_packet: u64,
+    /// Payloads of the packets inside the fabric, indexed by [`PacketId`]; a
+    /// delivered packet's slot goes on `free_slots` for reuse.
+    packets: Vec<Option<PacketRecord<P>>>,
+    free_slots: Vec<usize>,
     pending: BinaryHeap<Reverse<QueuedArrival>>,
     next_arrival_seq: u64,
     /// Scratch buffer handed to the fabric each tick (avoids a per-cycle
@@ -99,8 +101,10 @@ pub struct Network<P> {
     /// (the common single-flit case) — they bypass the heap entirely.
     due_scratch: Vec<Arrival>,
     eject_queues: Vec<VecDeque<Delivered<P>>>,
-    /// Total messages sitting in `eject_queues` (lets `eject_all` skip the
-    /// per-node scan on quiet cycles).
+    /// Nodes whose ejection queue is non-empty, so `eject_all_into` visits
+    /// only those, in ascending node order.
+    eject_ready: ActiveSet,
+    /// Total messages sitting in `eject_queues`.
     ejectable: usize,
     stats: NetworkStats,
 }
@@ -118,13 +122,14 @@ impl<P: Clone> Network<P> {
             fabric: Fabric::new(cfg),
             cycle: 0,
             groups: Vec::new(),
-            packets: FxHashMap::default(),
-            next_packet: 0,
+            packets: Vec::new(),
+            free_slots: Vec::new(),
             pending: BinaryHeap::new(),
             next_arrival_seq: 0,
             arrivals_scratch: Vec::new(),
             due_scratch: Vec::new(),
             eject_queues: (0..cfg.mesh.len()).map(|_| VecDeque::new()).collect(),
+            eject_ready: ActiveSet::new(cfg.mesh.len()),
             ejectable: 0,
             stats: NetworkStats::default(),
         }
@@ -197,8 +202,7 @@ impl<P: Clone> Network<P> {
                 };
                 self.stats
                     .record_delivery(delivered.msg.vn, 1, 0);
-                self.eject_queues[dest.index()].push_back(delivered);
-                self.ejectable += 1;
+                self.enqueue_delivery(delivered);
                 Ok(())
             }
             Destination::Unicast(dest) => {
@@ -206,15 +210,12 @@ impl<P: Clone> Network<P> {
                     return Err(InjectError(msg));
                 }
                 self.stats.injected_messages += 1;
-                let flight = self.new_flight(&msg, msg.src, dest, 0);
-                self.packets.insert(
-                    flight.id,
-                    PacketRecord {
-                        msg,
-                        travelling: None,
-                    },
-                );
-                self.fabric.inject(flight, self.cycle);
+                let flight = self.new_flight(&msg, dest);
+                let record = PacketRecord {
+                    msg,
+                    travelling: None,
+                };
+                self.launch(record, flight);
                 Ok(())
             }
             Destination::Multicast(group) => {
@@ -231,36 +232,56 @@ impl<P: Clone> Network<P> {
                     msg.src
                 );
                 self.stats.injected_messages += 1;
-                let children = self.groups[group.0 as usize].children(msg.src, None);
-                for (dir, next) in children {
-                    let flight = self.new_flight(&msg, msg.src, next, 0);
-                    self.packets.insert(
-                        flight.id,
-                        PacketRecord {
-                            msg: msg.clone(),
-                            travelling: Some(dir),
-                        },
-                    );
+                for (dir, next) in self.groups[group.0 as usize].children(msg.src, None) {
+                    let record = PacketRecord {
+                        msg: msg.clone(),
+                        travelling: Some(dir),
+                    };
                     self.stats.multicast_forks += 1;
-                    self.fabric.inject(flight, self.cycle);
+                    self.launch(record, self.new_flight(&msg, next));
                 }
                 Ok(())
             }
         }
     }
 
-    fn new_flight(&mut self, msg: &NetMessage<P>, src: NodeId, dest: NodeId, stops: u32) -> FlightInfo {
-        let id = PacketId(self.next_packet);
-        self.next_packet += 1;
+    /// The descriptor of a copy of `msg` entering the fabric now, at its
+    /// source, bound for `dest` (its id is assigned by `launch`).
+    fn new_flight(&self, msg: &NetMessage<P>, dest: NodeId) -> FlightInfo {
         FlightInfo {
-            id,
-            src,
+            id: PacketId(0),
+            src: msg.src,
             dest,
             vn: msg.vn,
             flits: self.cfg.flits_for(msg.size_bytes),
             injected_at: self.cycle,
-            stops,
+            stops: 0,
         }
+    }
+
+    /// Stores `record` in a free packet slot and injects `flight` into the
+    /// fabric under that slot's id.
+    fn launch(&mut self, record: PacketRecord<P>, mut flight: FlightInfo) {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.packets[slot] = Some(record);
+                slot
+            }
+            None => {
+                self.packets.push(Some(record));
+                self.packets.len() - 1
+            }
+        };
+        flight.id = PacketId(slot as u64);
+        self.fabric.inject(flight, self.cycle);
+    }
+
+    /// Queues `delivered` for ejection at its receiver.
+    fn enqueue_delivery(&mut self, delivered: Delivered<P>) {
+        let node = delivered.receiver.index();
+        self.eject_queues[node].push_back(delivered);
+        self.eject_ready.set(node);
+        self.ejectable += 1;
     }
 
     /// Advances the network by one cycle.
@@ -351,36 +372,28 @@ impl<P: Clone> Network<P> {
     }
 
     fn complete(&mut self, arrival: Arrival) {
-        let record = self
-            .packets
-            .remove(&arrival.flight.id)
+        let slot = arrival.flight.id.0 as usize;
+        let record = self.packets[slot]
+            .take()
             .expect("arrival for unknown packet");
+        self.free_slots.push(slot);
         let latency = arrival.now.saturating_sub(arrival.flight.injected_at);
         self.stats
             .record_delivery(record.msg.vn, latency, arrival.flight.stops);
         // Multicast: spawn children before delivering this copy.
         if let (Destination::Multicast(group), Some(dir)) = (record.msg.dest, record.travelling) {
-            let children = self.groups[group.0 as usize].children(arrival.at, Some(dir));
-            for (cdir, next) in children {
+            for (cdir, next) in self.groups[group.0 as usize].children(arrival.at, Some(dir)) {
+                let child = PacketRecord {
+                    msg: record.msg.clone(),
+                    travelling: Some(cdir),
+                };
                 let flight = FlightInfo {
-                    id: PacketId(self.next_packet),
                     src: arrival.at,
                     dest: next,
-                    vn: record.msg.vn,
-                    flits: arrival.flight.flits,
-                    injected_at: arrival.flight.injected_at,
-                    stops: arrival.flight.stops,
+                    ..arrival.flight
                 };
-                self.next_packet += 1;
-                self.packets.insert(
-                    flight.id,
-                    PacketRecord {
-                        msg: record.msg.clone(),
-                        travelling: Some(cdir),
-                    },
-                );
                 self.stats.multicast_forks += 1;
-                self.fabric.inject(flight, self.cycle);
+                self.launch(child, flight);
             }
         }
         let delivered = Delivered {
@@ -391,14 +404,14 @@ impl<P: Clone> Network<P> {
             stops: arrival.flight.stops,
             msg: record.msg,
         };
-        self.eject_queues[arrival.at.index()].push_back(delivered);
-        self.ejectable += 1;
+        self.enqueue_delivery(delivered);
     }
 
     /// Drains all messages delivered at `node`.
     pub fn eject(&mut self, node: NodeId) -> Vec<Delivered<P>> {
         let drained: Vec<Delivered<P>> = self.eject_queues[node.index()].drain(..).collect();
         self.ejectable -= drained.len();
+        self.eject_ready.clear(node.index());
         drained
     }
 
@@ -409,11 +422,10 @@ impl<P: Clone> Network<P> {
             return;
         }
         out.reserve(self.ejectable);
-        for q in &mut self.eject_queues {
-            while let Some(d) = q.pop_front() {
-                out.push(d);
-            }
+        for node in self.eject_ready.iter() {
+            out.extend(self.eject_queues[node].drain(..));
         }
+        self.eject_ready.clear_all();
         self.ejectable = 0;
     }
 
@@ -428,13 +440,6 @@ impl<P: Clone> Network<P> {
     /// ejection queue.
     pub fn is_busy(&self) -> bool {
         self.in_flight() > 0 || self.ejectable > 0
-    }
-
-    /// Number of packets currently travelling through the fabric (including
-    /// arrivals not yet released to an ejection queue), excluding already
-    /// delivered messages waiting to be ejected.
-    pub fn in_flight(&self) -> usize {
-        self.fabric.in_flight() + self.pending.len()
     }
 
     /// Aggregate statistics: a snapshot of the front-end delivery stats with
@@ -459,12 +464,21 @@ impl<P: Clone> Network<P> {
     }
 }
 
+impl<P> Network<P> {
+    /// Number of packets currently travelling through the fabric (including
+    /// arrivals not yet released to an ejection queue), excluding already
+    /// delivered messages waiting to be ejected.
+    pub fn in_flight(&self) -> usize {
+        self.fabric.in_flight() + self.pending.len()
+    }
+}
+
 impl<P> fmt::Debug for Network<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
             .field("cfg", &self.cfg)
             .field("cycle", &self.cycle)
-            .field("in_flight", &self.packets.len())
+            .field("in_flight", &self.in_flight())
             .finish_non_exhaustive()
     }
 }
@@ -640,6 +654,52 @@ mod tests {
         }
         assert!(accepted >= cfg.vn_buffer_capacity() as u64);
         assert!(accepted < 1000);
+    }
+
+    #[test]
+    fn multicast_drain_reuses_packet_slots_and_leaves_empty_tables() {
+        let mesh = Mesh::new(8, 8);
+        let vms = VirtualMesh::new(mesh, 2, 2, Coord::new(1, 0));
+        let mut net: Network<u32> = Network::new(NocConfig::smart_mesh(8, 8, 4));
+        let group = net.register_multicast_group(vms.members().to_vec());
+        let mut rng = crate::SplitMix64::new(7);
+        let (mut sent, mut out) = (0, Vec::new());
+        for cycle in 0..400u32 {
+            let src = vms.members()[rng.index(vms.len())];
+            let msg = NetMessage::multicast(src, group, VirtualNetwork::Broadcast, 8, cycle);
+            if net.inject(msg).is_ok() {
+                sent += 1;
+            }
+            net.tick();
+            net.eject_all_into(&mut out);
+        }
+        run_until_quiet(&mut net, 2_000);
+        net.eject_all_into(&mut out);
+        // Every member but the root receives each multicast.
+        assert_eq!(out.len(), sent * (vms.len() - 1));
+        let (slots, forks) = (net.packets.len(), net.stats().multicast_forks);
+        assert!(
+            slots * 10 < forks as usize,
+            "{slots} slots for {forks} copies"
+        );
+        assert_eq!(net.free_slots.len(), slots, "every slot is free again");
+        assert!(net.packets.iter().all(Option::is_none));
+        assert_eq!(net.in_flight(), 0);
+        assert!(!net.is_busy());
+        assert_eq!(net.eject_ready.iter().count(), 0, "eject mask is empty");
+    }
+
+    #[test]
+    fn debug_reports_live_packets_not_slab_slots() {
+        let mut net: Network<u8> = Network::new(NocConfig::smart_mesh(4, 4, 4));
+        for i in 0..3u16 {
+            let msg = NetMessage::unicast(NodeId(i), NodeId(15), VirtualNetwork::Request, 8, 0);
+            net.inject(msg).unwrap();
+        }
+        assert!(format!("{net:?}").contains("in_flight: 3"), "{net:?}");
+        run_until_quiet(&mut net, 500);
+        assert_eq!(net.packets.len(), 3, "the slab keeps its slots");
+        assert!(format!("{net:?}").contains("in_flight: 0"), "{net:?}");
     }
 
     #[test]

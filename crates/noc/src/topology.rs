@@ -267,26 +267,7 @@ impl Mesh {
     /// The next direction on the XY route from `from` towards `to`
     /// (X first, then Y), or `None` if already there.
     pub fn xy_next_dir(self, from: NodeId, to: NodeId) -> Option<Direction> {
-        self.xy_leg(from, to).map(|(dir, _)| dir)
-    }
-
-    /// The next direction on the XY route from `from` towards `to`, with
-    /// the hops left in that dimension (at least 1), or `None` if already
-    /// there.
-    pub fn xy_leg(self, from: NodeId, to: NodeId) -> Option<(Direction, u16)> {
-        let f = self.coord(from);
-        let t = self.coord(to);
-        if t.x > f.x {
-            Some((Direction::East, t.x - f.x))
-        } else if t.x < f.x {
-            Some((Direction::West, f.x - t.x))
-        } else if t.y > f.y {
-            Some((Direction::North, t.y - f.y))
-        } else if t.y < f.y {
-            Some((Direction::South, f.y - t.y))
-        } else {
-            None
-        }
+        self.xy_route(from, to).first().copied()
     }
 
     /// Full XY route (sequence of directions) from `from` to `to`.

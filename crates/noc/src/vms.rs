@@ -13,7 +13,6 @@
 //! network for any registered multicast group whose members form a grid.
 
 use crate::topology::{Coord, Direction, Mesh, NodeId};
-use crate::fx::FxHashMap;
 
 /// The set of home nodes (one per cluster) that share a given home-node
 /// offset, i.e. one virtual mesh of the LOCO design.
@@ -115,9 +114,10 @@ impl VirtualMesh {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MulticastTree {
     members: Vec<NodeId>,
-    /// For each member: nearest member strictly east / west in the same row,
-    /// and strictly north / south in the same column.
-    next: FxHashMap<NodeId, [Option<NodeId>; 4]>,
+    /// Indexed by node, `Some` for members only: the nearest member strictly
+    /// east / west in the same row, and strictly north / south in the same
+    /// column.
+    next: Vec<Option<[Option<NodeId>; 4]>>,
 }
 
 impl MulticastTree {
@@ -128,7 +128,7 @@ impl MulticastTree {
     /// Panics if `members` is empty.
     pub fn new(mesh: Mesh, members: Vec<NodeId>) -> Self {
         assert!(!members.is_empty(), "multicast group must not be empty");
-        let mut next: FxHashMap<NodeId, [Option<NodeId>; 4]> = FxHashMap::default();
+        let mut next = vec![None; mesh.len()];
         for &m in &members {
             let mc = mesh.coord(m);
             let mut slots: [Option<NodeId>; 4] = [None; 4];
@@ -171,7 +171,7 @@ impl MulticastTree {
                     }
                 }
             }
-            next.insert(m, slots);
+            next[m.index()] = Some(slots);
         }
         MulticastTree { members, next }
     }
@@ -183,7 +183,7 @@ impl MulticastTree {
 
     /// Whether `node` is a member of the group.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.next.contains_key(&node)
+        matches!(self.next.get(node.index()), Some(Some(_)))
     }
 
     /// The next members to forward to from `at`, given the direction the
@@ -192,12 +192,18 @@ impl MulticastTree {
     /// Horizontal travellers continue horizontally and fork north/south;
     /// vertical travellers only continue vertically; the root fans out in all
     /// four directions. Every member also delivers a local copy (handled by
-    /// the caller).
-    pub fn children(&self, at: NodeId, travelling: Option<Direction>) -> Vec<(Direction, NodeId)> {
-        let Some(slots) = self.next.get(&at) else {
-            return Vec::new();
+    /// the caller). Children come in East, West, North, South order; a
+    /// non-member has none.
+    pub fn children(
+        &self,
+        at: NodeId,
+        travelling: Option<Direction>,
+    ) -> impl Iterator<Item = (Direction, NodeId)> {
+        let slots = match self.next.get(at.index()) {
+            Some(&Some(slots)) => slots,
+            _ => [None; 4],
         };
-        let dirs: &[Direction] = match travelling {
+        let dirs: &'static [Direction] = match travelling {
             None => &[
                 Direction::East,
                 Direction::West,
@@ -211,8 +217,7 @@ impl MulticastTree {
             Some(Direction::Local) => &[],
         };
         dirs.iter()
-            .filter_map(|&d| slots[d.index()].map(|n| (d, n)))
-            .collect()
+            .filter_map(move |&d| slots[d.index()].map(|n| (d, n)))
     }
 }
 
@@ -306,11 +311,9 @@ mod tests {
         let vms = VirtualMesh::new(mesh, 4, 4, Coord::new(0, 0));
         let tree = MulticastTree::new(mesh, vms.members().to_vec());
         let lower_left = mesh.node_at(Coord::new(0, 0));
-        let children = tree.children(lower_left, Some(Direction::South));
-        assert!(children.is_empty());
+        assert_eq!(tree.children(lower_left, Some(Direction::South)).count(), 0);
         let upper_left = mesh.node_at(Coord::new(0, 4));
-        let children = tree.children(upper_left, Some(Direction::North));
-        assert!(children.is_empty());
+        assert_eq!(tree.children(upper_left, Some(Direction::North)).count(), 0);
     }
 
     #[test]

@@ -28,6 +28,11 @@ echo "==> randomized equivalence stress suite (pinned seed, 250 short random con
 LOCO_STRESS_SEED=538510120 LOCO_STRESS_CONFIGS=250 \
     cargo test -q --offline --test equivalence randomized_short_configs
 
+echo "==> bit-identity oracles in release mode (the fabric's index arithmetic wraps there instead of panicking)"
+cargo test --release -q --offline -p loco-noc --test golden_fingerprint
+LOCO_STRESS_SEED=538510120 LOCO_STRESS_CONFIGS=250 \
+    cargo test --release -q --offline --test equivalence randomized_short_configs
+
 echo "==> energy suite (golden breakdown fingerprint, run/run_naive and thread invariance)"
 cargo test -q --offline --test energy
 
